@@ -128,8 +128,8 @@ let budget_arg =
     value & opt (some int) None
     & info [ "budget" ] ~docv:"WORK"
         ~doc:
-          "Deterministic work-unit budget for the II search (simplex pivots \
-           + branch-and-bound nodes + one per attempt).  0 skips the search \
+          "Deterministic work-unit budget for the II search (one per \
+           packing arm raced and per refinement probe).  0 skips the search \
            entirely.  Results stay byte-identical across --jobs widths.")
 
 let on_budget_arg =
@@ -141,17 +141,6 @@ let on_budget_arg =
           "What to do when the deadline or budget runs out: $(b,degrade) \
            (default) falls back to a guaranteed-valid serial schedule at a \
            relaxed II; $(b,fail) exits with a structured diagnostic.")
-
-let no_portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "no-portfolio" ]
-        ~doc:
-          "Disable the per-candidate-II scheduler portfolio (first-fit, \
-           best-fit and balanced packings raced, plus the cut-armed exact \
-           ILP near the bound), restoring the historical \
-           first-fit-then-maybe-exact ladder.  Determinism is unaffected \
-           either way.")
 
 let lns_rounds_arg =
   Arg.(
@@ -297,8 +286,7 @@ let emit_target t c =
 
 let compile_cmd =
   let doc = "Compile through the full pipeline of Fig. 5; print the schedule." in
-  let run spec n target jobs deadline budget on_budget no_portfolio
-      lns_rounds metrics =
+  let run spec n target jobs deadline budget on_budget lns_rounds metrics =
     with_jobs jobs @@ fun () ->
     with_coarsening n @@ fun () ->
     check_limits ~deadline ~budget @@ fun () ->
@@ -307,7 +295,7 @@ let compile_cmd =
     @@ with_graph spec (fun g _ ->
            match
              Swp_core.Compile.compile ~coarsening:n ?deadline ?budget
-               ~portfolio:(not no_portfolio) ~lns_rounds ~on_budget g
+               ~lns_rounds ~on_budget g
            with
            | Error m ->
              Printf.eprintf "error: compile: %s\n" m;
@@ -345,7 +333,7 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(
       const run $ spec_arg $ coarsen_arg $ target_arg $ jobs_arg
-      $ deadline_arg $ budget_arg $ on_budget_arg $ no_portfolio_arg
+      $ deadline_arg $ budget_arg $ on_budget_arg
       $ lns_rounds_arg $ metrics_arg)
 
 (* --- emit --- *)
@@ -438,17 +426,16 @@ let buffers_cmd =
 
 let speedup_cmd =
   let doc = "Report SWP / SWPNC / Serial speedups over the CPU model (Fig. 10)." in
-  let run spec n jobs deadline budget on_budget no_portfolio lns_rounds
+  let run spec n jobs deadline budget on_budget lns_rounds
       metrics =
     with_jobs jobs @@ fun () ->
     with_coarsening n @@ fun () ->
     check_limits ~deadline ~budget @@ fun () ->
     check_lns_rounds lns_rounds @@ fun () ->
-    let portfolio = not no_portfolio in
     dump_metrics metrics
     @@ with_graph spec (fun g _ ->
         match
-          Swp_core.Compile.compile ~coarsening:n ?deadline ?budget ~portfolio
+          Swp_core.Compile.compile ~coarsening:n ?deadline ?budget
             ~lns_rounds ~on_budget g
         with
         | Error m ->
@@ -471,7 +458,7 @@ let speedup_cmd =
           (match
              Swp_core.Compile.compile
                ~scheme:Swp_core.Compile.Swp_non_coalesced ~coarsening:n
-               ?deadline ?budget ~portfolio ~lns_rounds ~on_budget g
+               ?deadline ?budget ~lns_rounds ~on_budget g
            with
           | Ok cn ->
             let gtn = Swp_core.Executor.time_swp cn in
@@ -495,7 +482,7 @@ let speedup_cmd =
   Cmd.v (Cmd.info "speedup" ~doc)
     Term.(
       const run $ spec_arg $ coarsen_arg $ jobs_arg $ deadline_arg
-      $ budget_arg $ on_budget_arg $ no_portfolio_arg $ lns_rounds_arg
+      $ budget_arg $ on_budget_arg $ lns_rounds_arg
       $ metrics_arg)
 
 (* --- trace --- *)
@@ -731,7 +718,7 @@ let report_cmd =
     output_string oc contents;
     close_out oc
   in
-  let run spec bench n jobs deadline budget on_budget no_portfolio lns_rounds
+  let run spec bench n jobs deadline budget on_budget lns_rounds
       json out timings events openmetrics metrics =
     match (spec, bench) with
     | None, None ->
@@ -754,7 +741,7 @@ let report_cmd =
           with_graph s (fun g _ ->
             match
               Swp_core.Compile.compile ~coarsening:n ?deadline ?budget
-                ~portfolio:(not no_portfolio) ~lns_rounds ~on_budget g
+                ~lns_rounds ~on_budget g
             with
             | Error m ->
               Printf.eprintf "error: compile: %s\n" m;
@@ -784,7 +771,7 @@ let report_cmd =
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
       const run $ spec_opt_arg $ bench_arg $ coarsen_arg $ jobs_arg
-      $ deadline_arg $ budget_arg $ on_budget_arg $ no_portfolio_arg
+      $ deadline_arg $ budget_arg $ on_budget_arg
       $ lns_rounds_arg $ json_arg $ report_out_arg $ timings_arg $ events_arg
       $ openmetrics_arg $ metrics_arg)
 
@@ -801,7 +788,7 @@ let sweep_cmd =
       value & opt (list int) [ 2; 4; 6; 8 ]
       & info [ "sms" ] ~docv:"N,..." ~doc:"Comma-separated SM counts.")
   in
-  let run spec n sms jobs deadline budget on_budget no_portfolio lns_rounds
+  let run spec n sms jobs deadline budget on_budget lns_rounds
       metrics =
     with_jobs jobs @@ fun () ->
     with_coarsening n @@ fun () ->
@@ -819,7 +806,7 @@ let sweep_cmd =
                  (fun num_sms ->
                    ( num_sms,
                      Swp_core.Compile.compile ~num_sms ~coarsening:n ?deadline
-                       ?budget ~portfolio:(not no_portfolio) ~lns_rounds
+                       ?budget ~lns_rounds
                        ~on_budget g ))
                  sms
              in
@@ -854,7 +841,7 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
       const run $ spec_arg $ coarsen_arg $ sms_arg $ jobs_arg $ deadline_arg
-      $ budget_arg $ on_budget_arg $ no_portfolio_arg $ lns_rounds_arg
+      $ budget_arg $ on_budget_arg $ lns_rounds_arg
       $ metrics_arg)
 
 (* --- serve --- *)

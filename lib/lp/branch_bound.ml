@@ -6,7 +6,6 @@ type stats = {
   max_depth : int;
   lp_pivots : int;
   seeded : bool;
-  cuts_added : int;
 }
 
 let m_solves = Obs.Metrics.counter "lp.bb.solves"
@@ -14,7 +13,6 @@ let m_nodes = Obs.Metrics.counter "lp.bb.nodes"
 let m_pruned = Obs.Metrics.counter "lp.bb.pruned"
 let m_incumbents = Obs.Metrics.counter "lp.bb.incumbents"
 let m_seeded = Obs.Metrics.counter "lp.bb.warm_start_hits"
-let m_cuts = Obs.Metrics.counter "lp.bb.cuts_added"
 let h_depth = Obs.Metrics.histogram "lp.bb.max_depth"
 
 (* A branching decision narrows one variable's bounds. *)
@@ -38,7 +36,7 @@ let most_fractional_var int_vars (sol : Solution.t) =
   Option.map fst !best
 
 let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
-    ?incumbent ?(use_reference_lp = false) ?cuts ?(cut_rounds = 8) problem =
+    ?incumbent ?(use_reference_lp = false) problem =
   let deadline =
     Option.map (fun b -> Resil.Clock.now () +. b) time_budget_s
   in
@@ -80,14 +78,6 @@ let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
   in
   let lp_budget_hit = ref false in
   let explored = ref 0 and pruned = ref 0 and maxdepth = ref 0 in
-  (* Root cut loop: a caller-supplied separator turns the root
-     relaxation's fractional point into violated valid inequalities,
-     which are added to [problem] (mutating it — cuts are valid for
-     every integral solution, so the feasible set of the MILP is
-     unchanged) and the root is re-solved, up to [cut_rounds] times,
-     before any branching happens. *)
-  let cut_rounds_left = ref (match cuts with None -> 0 | Some _ -> cut_rounds) in
-  let cuts_added = ref 0 in
   let better (s : Solution.t) =
     match !incumbent with
     | None -> true
@@ -165,31 +155,6 @@ let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
                end;
                if first_solution then raise Done
              | Some (v, x) ->
-               let cut_this_round =
-                 node.depth = 0 && !cut_rounds_left > 0
-                 &&
-                 match cuts with
-                 | None -> false
-                 | Some gen -> (
-                   match gen sol with
-                   | [] ->
-                     (* separator is dry: stop asking *)
-                     cut_rounds_left := 0;
-                     false
-                   | cs ->
-                     decr cut_rounds_left;
-                     List.iter
-                       (fun (lhs, rel, rhs) ->
-                         incr cuts_added;
-                         Problem.add_constraint problem
-                           ~name:(Printf.sprintf "cut_%d" !cuts_added)
-                           lhs rel rhs)
-                       cs;
-                     (* re-solve the strengthened root before branching *)
-                     stack := node :: !stack;
-                     true)
-               in
-               if not cut_this_round then begin
                let fl = Rat.of_bigint (Rat.floor x) in
                let ce = Rat.add fl Rat.one in
                let down =
@@ -215,7 +180,6 @@ let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
                   binaries of the paper's ILP means trying the cheaper
                   assignment first. *)
                stack := down :: up :: !stack
-               end
            end)
      done
    with
@@ -229,11 +193,9 @@ let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
       max_depth = !maxdepth;
       lp_pivots = !lp_stats.Solution.pivots;
       seeded = !seeded;
-      cuts_added = !cuts_added;
     }
   in
   Obs.Metrics.inc m_solves;
-  Obs.Metrics.add m_cuts !cuts_added;
   Obs.Metrics.add m_nodes !explored;
   Obs.Metrics.add m_pruned !pruned;
   if !seeded then Obs.Metrics.inc m_seeded;

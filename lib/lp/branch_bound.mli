@@ -18,7 +18,6 @@ type stats = {
   max_depth : int;
   lp_pivots : int;        (** simplex pivots summed over every relaxation *)
   seeded : bool;          (** a warm-start incumbent was accepted *)
-  cuts_added : int;       (** cutting planes added by the root cut loop *)
 }
 
 val solve :
@@ -28,8 +27,6 @@ val solve :
   ?first_solution:bool ->
   ?incumbent:(int -> Rat.t) ->
   ?use_reference_lp:bool ->
-  ?cuts:(Solution.t -> (Linexpr.t * Problem.relation * Linexpr.t) list) ->
-  ?cut_rounds:int ->
   Problem.t ->
   Solution.outcome * stats
 (** [solve p] solves the MILP.  [node_budget] defaults to [10_000] and
@@ -54,16 +51,6 @@ val solve :
     [use_reference_lp] (default [false]) solves every relaxation with the
     dense reference simplex instead of the sparse production core — for
     benchmarking the sparse tableau against its baseline.
-
-    [cuts], when given, is a separation oracle: called with the root
-    relaxation's fractional optimum, it returns violated inequalities
-    [(lhs, rel, rhs)] that every {e integral} solution satisfies (the
-    caller's responsibility — e.g. cover cuts for knapsack rows).  They
-    are added to the problem ({e mutating it}) and the root is re-solved
-    before branching, for at most [cut_rounds] (default 8) rounds or
-    until the oracle returns no cut.  Each re-solve counts against
-    [node_budget] and the work-unit [budget] like any node, so budgeted
-    cut loops stay deterministic.
 
     The returned solution's integer variables are guaranteed integral and
     the assignment is re-verified against the problem before being

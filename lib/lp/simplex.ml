@@ -815,22 +815,6 @@ let solve problem =
   let ub = Array.init n (Problem.var_ub problem) in
   solve_with_bounds problem ~lb ~ub
 
-let feasible_with_bounds ?deadline ?budget ?stats problem ~lb ~ub =
-  match build_std problem ~lb ~ub with
-  | None -> `Infeasible
-  | Some sf ->
-    (* Feasibility needs phase 1 only: with the objective stripped to a
-       constant, phase 2 prices an all-zero cost row and performs zero
-       pivots, so the solve cost is exactly the phase-1 search. *)
-    let sf = { sf with ocoeffs = []; oconst = Rat.zero } in
-    let outcome, st = solve_std_sparse ?deadline ?budget sf in
-    Solution.record_to_registry st;
-    record_stats stats st;
-    (match outcome with
-    | Solution.Infeasible -> `Infeasible
-    | Solution.Optimal _ | Solution.Unbounded -> `Feasible
-    | Solution.Budget_exhausted _ -> `Unknown)
-
 let solve_with_bounds_reference ?deadline ?budget ?stats problem ~lb ~ub =
   match build_std problem ~lb ~ub with
   | None -> Solution.Infeasible

@@ -45,22 +45,6 @@ val solve_with_bounds :
     with the solve's pivot/fill statistics whatever the outcome (see
     {!Solution.add_lp_stats}). *)
 
-val feasible_with_bounds :
-  ?deadline:float ->
-  ?budget:Resil.Budget.t ->
-  ?stats:Solution.lp_stats ref ->
-  Problem.t ->
-  lb:Rat.t option array ->
-  ub:Rat.t option array ->
-  [ `Feasible | `Infeasible | `Unknown ]
-(** Phase-1-only feasibility oracle for the LP relaxation: the objective
-    is ignored, so the answer costs exactly the phase-1 pivot sequence.
-    [`Infeasible] is a {e proof} that the relaxation (and therefore the
-    MILP) has no solution under the given bounds — the primitive the
-    LP-relaxation lower bound in [Swp_core.Mii] and the LNS window
-    screen are built on.  [`Unknown] means the pivot budget ran out
-    first.  Deadline/budget/stats behave as in {!solve_with_bounds}. *)
-
 val solve_reference : Problem.t -> Solution.outcome
 (** Dense-tableau reference implementation (the original solver).  Kept
     for cross-validation; use {!solve} in production code. *)

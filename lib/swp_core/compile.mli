@@ -9,8 +9,9 @@
 
     Compilation is resilient by construction: given a [deadline] (wall
     clock) or [budget] (deterministic work units), the pipeline runs a
-    three-rung ladder — exact ILP, heuristic modulo scheduler, and
-    finally the guaranteed-feasible {!Fallback} scheduler — and returns
+    ladder — the II search (the heuristic packing portfolio with LNS
+    refinement, or the exact ILP under [solver = Exact n]), then the
+    guaranteed-feasible {!Fallback} scheduler — and returns
     [Ok] with the achieved {!quality} instead of failing, unless
     [on_budget] is [`Fail].  Work-unit budgets are deterministic: the
     same graph under the same [budget] compiles to the byte-identical
@@ -89,7 +90,6 @@ val compile :
   ?num_sms:int ->
   ?coarsening:int ->
   ?solver:Ii_search.solver ->
-  ?portfolio:bool ->
   ?lns_rounds:int ->
   ?scheme:scheme ->
   ?deadline:float ->
@@ -99,10 +99,10 @@ val compile :
   Streamit.Graph.t ->
   (compiled, string) result
 (** Defaults: the GeForce 8800 GTS 512 with all 16 SMs, coarsening 1,
-    [Auto] solver, coalesced scheme, no deadline, no budget,
-    [on_budget = `Degrade].  [portfolio] and [lns_rounds] pass through
-    to {!Ii_search.search} (portfolio arm racing per candidate II, and
-    the LNS refinement round cap).
+    [Heuristic] solver, coalesced scheme, no deadline, no budget,
+    [on_budget = `Degrade].  [solver] and [lns_rounds] pass through to
+    {!Ii_search.search}: [Exact n] opts into the paper's ILP per
+    candidate II, and [lns_rounds] caps the LNS refinement.
 
     [deadline] bounds the whole pipeline in wall-clock seconds:
     profiling and selection check it cooperatively, and the II search

@@ -1,9 +1,8 @@
-type solver = Exact of int | Heuristic | Auto of int
+type solver = Exact of int | Heuristic
 
 type budget = {
   attempt_work : int option;
   exact_time_s : float option;
-  auto_time_s : float option;
   total_work : int option;
   wall_clock_s : float option;
 }
@@ -12,7 +11,6 @@ let default_budget =
   {
     attempt_work = None;
     exact_time_s = Some 20.0;
-    auto_time_s = Some 1.0;
     total_work = None;
     wall_clock_s = None;
   }
@@ -105,16 +103,7 @@ let m_budget_stops = Obs.Metrics.counter "ii_search.budget_stops"
 let h_attempt_s = Obs.Metrics.histogram "ii_search.attempt_seconds"
 let h_relax = Obs.Metrics.histogram "ii_search.relaxation"
 
-(* The LP/cutting-plane bound pays a few exact-rational LP solves per
-   probe.  Pivot cost grows with both the tableau size (assignment
-   variables = instances x SMs) and the magnitude of the candidate II
-   (the rational coefficients it seeds grow with it), so the bound is
-   gated on both: small problems with small IIs are exactly where the
-   combinatorial bounds leave a provable gap anyway. *)
-let lp_bound_max_vars = 128
-let lp_bound_max_ii = 256
-
-let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
+let search ?(solver = Heuristic) ?(lns_rounds = 12)
     ?(budget = default_budget) ?(relax_step = 0.005) ?(max_relax = 4.0) g cfg
     ~num_sms =
   Obs.Trace.with_span "ii_search" @@ fun () ->
@@ -124,20 +113,7 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
   let insts = Instances.instances cfg in
   let deps = Instances.deps g cfg in
   match
-    (try
-       let bounds = Mii.bounds ~deps g cfg ~num_sms in
-       (* Cutting-plane refinement of the floor: deterministic, bounded
-          work, each refuted candidate is an independent proof — see
-          {!Mii.lp_bound}.  Gated by problem size. *)
-       if
-         Instances.num_instances cfg * num_sms <= lp_bound_max_vars
-         && bounds.Mii.combinatorial <= lp_bound_max_ii
-       then
-         Ok
-           (Mii.with_lp bounds
-              (Mii.lp_bound ~insts ~deps g cfg ~num_sms
-                 ~start:bounds.Mii.combinatorial))
-       else Ok bounds
+    (try Ok (Mii.bounds ~deps g cfg ~num_sms)
      with Mii.Unschedulable m -> Error m)
   with
   | Error m ->
@@ -162,16 +138,9 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
         ("res_mii_sharp", Obs.Log.Int bounds.Mii.res_sharp);
         ("rec_mii", Obs.Log.Int bounds.Mii.recurrence);
         ("no_wrap", Obs.Log.Int bounds.Mii.no_wrap);
-        ( "lp",
-          match bounds.Mii.lp with
-          | Some v -> Obs.Log.Int v
-          | None -> Obs.Log.Str "skipped" );
         ("final", Obs.Log.Int lb);
         ("binding", Obs.Log.Str bounds.Mii.binding);
       ];
-  (* the exact ILP is only worth its cost near the II lower bound, where
-     the heuristic's packing granularity is the limiting factor *)
-  let near_bound ii = ii <= lb + (lb / 50) + 2 in
   let log = ref [] in
   let fail ~reason message =
     Obs.Metrics.inc m_failures;
@@ -260,7 +229,6 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
     Portfolio.record_arm a.arm ~feasible:a.feasible;
     Obs.Metrics.observe h_attempt_s a.solve_time_s
   in
-  let exact_gate_ok = Instances.num_instances cfg * num_sms <= 96 in
   let try_at ii =
     Obs.Trace.with_span "ii_search.attempt"
       ~attrs:[ ("ii", Obs.Trace.Int ii) ]
@@ -288,18 +256,10 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
       else
         match solver with
         | Heuristic ->
-          if portfolio then begin
-            let o = Portfolio.try_ii ?tok ~insts ~deps g cfg ~num_sms ~ii in
-            arm := o.Portfolio.arm;
-            arms_run := o.Portfolio.arms_run;
-            Option.map (fun s -> (s, false)) o.Portfolio.schedule
-          end
-          else (
-            match Heuristic.solve ~insts ~deps g cfg ~num_sms ~ii with
-            | `Schedule s ->
-              arm := "ffd";
-              Some (s, false)
-            | `Infeasible -> None)
+          let o = Portfolio.try_ii ?tok ~insts ~deps g cfg ~num_sms ~ii in
+          arm := o.Portfolio.arm;
+          arms_run := o.Portfolio.arms_run;
+          Option.map (fun s -> (s, false)) o.Portfolio.schedule
         | Exact nb -> (
           (* Warm start: hand the ILP the heuristic's schedule as its
              incumbent — branch-and-bound verifies it against the full
@@ -320,48 +280,9 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
             arm := "exact";
             Some (s, true)
           | `Infeasible | `Budget_exhausted -> None)
-        | Auto nb ->
-          if portfolio then begin
-            (* The exact arm is only admitted on problems small enough
-               for branch-and-bound to stand a chance within its budget
-               (the assignment variables alone number instances x SMs)
-               and near the bound, where the packing granularity is the
-               limiting factor. *)
-            let o =
-              Portfolio.try_ii ?tok
-                ~allow_exact:(exact_gate_ok && near_bound ii) ~node_budget:nb
-                ?time_budget_s:budget.auto_time_s ~insts ~deps g cfg ~num_sms
-                ~ii
-            in
-            arm := o.Portfolio.arm;
-            arms_run := o.Portfolio.arms_run;
-            bb := o.Portfolio.bb;
-            Option.map
-              (fun s -> (s, o.Portfolio.arm = "exact"))
-              o.Portfolio.schedule
-          end
-          else (
-            match Heuristic.solve ~insts ~deps g cfg ~num_sms ~ii with
-            | `Schedule s ->
-              arm := "ffd";
-              Some (s, false)
-            | `Infeasible ->
-              if (not exact_gate_ok) || not (near_bound ii) then None
-              else (
-                match
-                  Ilp.solve ~node_budget:nb ?time_budget_s:budget.auto_time_s
-                    ?budget:tok ~insts ~deps ~stats:bb g cfg ~num_sms ~ii
-                with
-                | `Schedule s ->
-                  arm := "exact";
-                  Some (s, true)
-                | `Infeasible | `Budget_exhausted -> None))
     in
     let tried_exact =
-      match solver with
-      | Exact _ -> not injected
-      | Heuristic -> false
-      | Auto _ -> !bb <> None
+      match solver with Exact _ -> not injected | Heuristic -> false
     in
     let budget_hit =
       injected
@@ -384,7 +305,7 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
     let s, ii, refined =
       let skip =
         lns_rounds <= 0 || ii <= lb
-        || (match solver with Exact _ -> true | Heuristic | Auto _ -> false)
+        || (match solver with Exact _ -> true | Heuristic -> false)
       in
       if skip then (s, ii, false)
       else begin
@@ -394,12 +315,13 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
             {
               ii = p.Lns.target;
               arm = "lns";
-              tried_exact = p.Lns.exact_window;
+              tried_exact = false;
               feasible = p.Lns.feasible;
               solve_time_s = p.Lns.time_s;
-              lp_pivots = p.Lns.lp_pivots;
-              bb_nodes = p.Lns.bb_nodes;
-              work_units = p.Lns.work_units;
+              lp_pivots = 0;
+              bb_nodes = 0;
+              (* one unit per probe: greedy repair plus one placement *)
+              work_units = 1;
               budget_hit = false;
             }
         in

@@ -3,9 +3,12 @@
     The paper's methodology: start at the lower bound
     [max(ResMII, RecMII)], allot the solver a fixed budget, and on
     failure relax the II by 0.5% (at least 1 cycle) and retry.  We keep
-    the same loop; the budget is a branch-and-bound node budget instead
-    of 20 wall-clock seconds, and a heuristic modulo scheduler can be
-    tried at each candidate II before or instead of the exact ILP.
+    the same loop.  The production solver at each candidate II is the
+    heuristic packing portfolio ({!Portfolio.try_ii}), followed by LNS
+    refinement below the first feasible II ({!Lns.refine}); the paper's
+    ILP runs only under the explicit [Exact] solver (and as the test
+    oracle), where the budget is a branch-and-bound node budget plus the
+    paper's 20 s CPU allotment.
 
     The search derives the instance/dependence expansion {e once} and
     reuses it across every candidate II, and in [Exact] mode warm-starts
@@ -15,8 +18,8 @@
     {2 Budgets}
 
     A {!budget} bounds the search along two axes.  {e Per-attempt}
-    limits ([attempt_work], and the paper-mirroring [exact_time_s] /
-    [auto_time_s] CPU allotments) bound one candidate II's solve; the
+    limits ([attempt_work], and the paper-mirroring [exact_time_s] CPU
+    allotment) bound one candidate II's solve; the
     search then relaxes and retries, so they shape quality, not
     termination.  {e Search-wide} limits ([total_work],
     [wall_clock_s]) stop the whole search with a structured {!error}
@@ -34,11 +37,8 @@ type solver =
       (** ILP with the given node budget per candidate II, warm-started
           from the heuristic schedule whenever one exists at that II *)
   | Heuristic
-  | Auto of int
-      (** heuristic first; when it fails at a candidate II and the
-          problem is small enough for branch-and-bound (at most 96
-          assignment variables), try the exact ILP with the given budget
-          before relaxing *)
+      (** the ffd/bfd/bal packing portfolio per candidate II, then LNS
+          refinement; the default *)
 
 type budget = {
   attempt_work : int option;
@@ -47,8 +47,6 @@ type budget = {
   exact_time_s : float option;
       (** CPU-seconds cap per [Exact] ILP solve — the paper's 20 s
           CPLEX allotment *)
-  auto_time_s : float option;
-      (** CPU-seconds cap per [Auto] rescue ILP solve *)
   total_work : int option;
       (** work-unit ledger for the whole search; exhaustion stops it
           with reason [`Budget].  Deterministic *)
@@ -59,17 +57,20 @@ type budget = {
 
 val default_budget : budget
 (** [{ attempt_work = None; exact_time_s = Some 20.0;
-      auto_time_s = Some 1.0; total_work = None; wall_clock_s = None }]
-    — exactly the paper-derived per-attempt CPU allotments the search
-    always had, and no search-wide limit. *)
+      total_work = None; wall_clock_s = None }]
+    — the paper-derived per-attempt CPU allotment of the [Exact] solver,
+    and no search-wide limit. *)
 
 type attempt = {
   ii : int;                (** candidate II of this attempt *)
   arm : string;
       (** the arm that produced this attempt's outcome: a portfolio arm
-          name (["ffd"] | ["bfd"] | ["bal"] | ["exact"]), ["lns"] for a
-          refinement probe, or ["none"] when nothing was feasible *)
-  tried_exact : bool;      (** the exact ILP ran (possibly warm-started) *)
+          name (["ffd"] | ["bfd"] | ["bal"]), ["exact"] for the [Exact]
+          solver, ["lns"] for a refinement probe, or ["none"] when
+          nothing was feasible *)
+  tried_exact : bool;
+      (** the exact ILP ran (possibly warm-started); only ever [true]
+          under the [Exact] solver *)
   feasible : bool;
   solve_time_s : float;    (** CPU seconds spent on this candidate *)
   lp_pivots : int;         (** simplex pivots across the ILP's relaxations *)
@@ -83,7 +84,7 @@ type attempt = {
 type stats = {
   lower_bound : int;       (** the starting II ([= bounds.final]) *)
   bounds : Mii.bounds;     (** full lower-bound breakdown: which of
-                               RecMII / ResMII / sharp / LP was binding *)
+                               RecMII / ResMII / sharp was binding *)
   achieved_ii : int;
   attempts : int;          (** candidate IIs tried *)
   relaxation : float;      (** (achieved - bound) / bound *)
@@ -127,7 +128,6 @@ val log_signature : stats -> string
 
 val search :
   ?solver:solver ->
-  ?portfolio:bool ->
   ?lns_rounds:int ->
   ?budget:budget ->
   ?relax_step:float ->
@@ -136,17 +136,12 @@ val search :
   Select.config ->
   num_sms:int ->
   (Swp_schedule.t * stats, error) result
-(** Defaults: [solver = Auto 2000], [portfolio = true],
-    [lns_rounds = 12], [budget = default_budget], [relax_step = 0.005]
-    (the paper's 0.5%), [max_relax = 4.0] (give up beyond 5x the
-    bound).
+(** Defaults: [solver = Heuristic], [lns_rounds = 12],
+    [budget = default_budget], [relax_step = 0.005] (the paper's 0.5%),
+    [max_relax = 4.0] (give up beyond 5x the bound).
 
-    [portfolio] races the {!Heuristic.all_strategies} packings (and, in
-    [Auto] mode near the bound on small problems, the cut-armed exact
-    ILP) per candidate II — see {!Portfolio.try_ii}; [false] restores
-    the historical first-fit-then-maybe-exact ladder.  [lns_rounds]
-    bounds the {!Lns.refine} probes run below the first feasible
-    candidate ([0] disables refinement; [Exact] mode never refines).
-    Both preserve byte-identical determinism: arms race in a fixed
-    order under work-unit budgets, and refinement probes run serially
-    at commit time. *)
+    [lns_rounds] bounds the {!Lns.refine} probes run below the first
+    feasible candidate ([0] disables refinement; [Exact] mode never
+    refines).  The search is byte-identically deterministic: arms race
+    in a fixed order under work-unit budgets, and refinement probes run
+    serially at commit time.  Only [Exact] consults a CPU-time cap. *)

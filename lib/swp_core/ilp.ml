@@ -9,7 +9,7 @@ type var_map = {
 
 let q = Rat.of_int
 
-let build ?insts ?deps ?(cuts = false) g (cfg : Select.config) ~num_sms ~ii =
+let build ?insts ?deps g (cfg : Select.config) ~num_sms ~ii =
   let insts =
     match insts with Some l -> l | None -> Instances.instances cfg
   in
@@ -85,32 +85,6 @@ let build ?insts ?deps ?(cuts = false) g (cfg : Select.config) ~num_sms ~ii =
         e Lp.Problem.Le
         (Lp.Linexpr.of_int ii)
     done;
-    (* Big-instance clique cuts (opt-in): two instances each longer than
-       half the II can never share an SM, so at most one of them lands on
-       each.  Valid a priori — they tighten the LP relaxation without
-       excluding any integral solution.  Off by default so the base
-       constraint system stays exactly the paper's. *)
-    if cuts then begin
-      let big =
-        List.filter
-          (fun (i : Instances.instance) -> 2 * cfg.delay.(i.node) > ii)
-          insts
-      in
-      if List.length big >= 2 then
-        for sm = 0 to num_sms - 1 do
-          let e =
-            Lp.Linexpr.of_terms
-              (List.map
-                 (fun (i : Instances.instance) ->
-                   (Rat.one, Hashtbl.find vm.w (i.node, i.k, sm)))
-                 big)
-          in
-          Lp.Problem.add_constraint p
-            ~name:(Printf.sprintf "clique_%d" sm)
-            e Lp.Problem.Le
-            (Lp.Linexpr.of_int 1)
-        done
-    end;
     (* Symmetry breaking: pin the first instance to SM 0 (any solution
        can be permuted into this form). *)
     (match insts with
@@ -188,55 +162,6 @@ let build ?insts ?deps ?(cuts = false) g (cfg : Select.config) ~num_sms ~ii =
       deps;
     Ok (p, vm)
 
-(* Cover-cut separation for the per-SM knapsack rows (2): from a
-   fractional point, greedily build a cover C (instances whose combined
-   delay exceeds the II) per SM in decreasing assignment-value order; the
-   inequality sum_{i in C} w(i,sm) <= |C|-1 holds for every integral
-   packing and is emitted only when the fractional point violates it.
-   All arithmetic is exact rational and the orderings have deterministic
-   tie-breaks, so separation is reproducible. *)
-let cover_cuts vm insts (cfg : Select.config) ~num_sms ~ii
-    (sol : Lp.Solution.t) =
-  let cuts = ref [] in
-  for sm = 0 to num_sms - 1 do
-    let items =
-      List.filter_map
-        (fun (i : Instances.instance) ->
-          let d = cfg.delay.(i.node) in
-          if d <= 0 then None
-          else
-            let id = Hashtbl.find vm.w (i.node, i.k, sm) in
-            let x = sol.Lp.Solution.values.(id) in
-            if Rat.sign x <= 0 then None else Some (id, d, x))
-        insts
-    in
-    let items =
-      List.stable_sort
-        (fun (ida, _, xa) (idb, _, xb) ->
-          if Rat.equal xa xb then compare ida idb
-          else if Rat.gt xa xb then -1
-          else 1)
-        items
-    in
-    (* take items until the delay sum exceeds the II: a cover *)
-    let rec take cover dsum xsum = function
-      | _ when dsum > ii -> Some (cover, xsum)
-      | [] -> None
-      | (id, d, x) :: tl -> take (id :: cover) (dsum + d) (Rat.add xsum x) tl
-    in
-    match take [] 0 Rat.zero items with
-    | None -> ()
-    | Some (cover, xsum) ->
-      let k = List.length cover in
-      if Rat.gt xsum (q (k - 1)) then
-        cuts :=
-          ( Lp.Linexpr.of_terms (List.rev_map (fun id -> (Rat.one, id)) cover),
-            Lp.Problem.Le,
-            Lp.Linexpr.of_int (k - 1) )
-          :: !cuts
-  done;
-  List.rev !cuts
-
 (* Translate a feasible schedule (typically the heuristic scheduler's) into
    an assignment of the ILP variables, to seed branch-and-bound as its
    incumbent.  SM labels are permuted so the first instance lands on SM 0,
@@ -287,12 +212,12 @@ let assignment_of_schedule p vm insts deps (s : Swp_schedule.t) ~num_sms =
   fun v -> values.(v)
 
 let solve ?(node_budget = 4000) ?time_budget_s ?budget ?insts ?deps ?warm_start
-    ?stats ?use_reference_lp ?(cuts = false) g cfg ~num_sms ~ii =
+    ?stats ?use_reference_lp g cfg ~num_sms ~ii =
   let insts =
     match insts with Some l -> l | None -> Instances.instances cfg
   in
   let deps = match deps with Some l -> l | None -> Instances.deps g cfg in
-  match build ~insts ~deps ~cuts g cfg ~num_sms ~ii with
+  match build ~insts ~deps g cfg ~num_sms ~ii with
   | Error _ -> `Infeasible
   | Ok (p, vm) -> (
     let incumbent =
@@ -302,12 +227,9 @@ let solve ?(node_budget = 4000) ?time_budget_s ?budget ?insts ?deps ?warm_start
         Some (assignment_of_schedule p vm insts deps s ~num_sms)
       | _ -> None
     in
-    let cut_gen =
-      if cuts then Some (cover_cuts vm insts cfg ~num_sms ~ii) else None
-    in
     let outcome, bb =
       Lp.Branch_bound.solve ~node_budget ?time_budget_s ?budget ?incumbent
-        ?use_reference_lp ?cuts:cut_gen p
+        ?use_reference_lp p
     in
     (match stats with Some r -> r := Some bb | None -> ());
     match outcome with

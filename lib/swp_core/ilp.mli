@@ -26,7 +26,6 @@ type var_map = {
 val build :
   ?insts:Instances.instance list ->
   ?deps:Instances.dep list ->
-  ?cuts:bool ->
   Streamit.Graph.t ->
   Select.config ->
   num_sms:int ->
@@ -35,26 +34,7 @@ val build :
 (** [Error] when the II is trivially infeasible (some delay exceeds it).
     [insts]/[deps] supply a precomputed instance expansion — the II search
     reuses one expansion across every candidate II instead of re-deriving
-    it per attempt.  [cuts] (default [false]) additionally emits the
-    a-priori big-instance clique inequalities (at most one instance
-    longer than [ii/2] per SM) — valid for every integral solution, they
-    tighten the LP relaxation for the cutting-plane lower bound and the
-    exact portfolio arm without changing the paper's base system. *)
-
-val cover_cuts :
-  var_map ->
-  Instances.instance list ->
-  Select.config ->
-  num_sms:int ->
-  ii:int ->
-  Lp.Solution.t ->
-  (Lp.Linexpr.t * Lp.Problem.relation * Lp.Linexpr.t) list
-(** Separation oracle for {!Lp.Branch_bound}'s root cut loop: given a
-    fractional solution, returns the violated per-SM cover cuts of the
-    knapsack rows (2) — for a set [C] of instances whose combined delay
-    exceeds the II, [sum_{i in C} w(i,sm) <= |C|-1].  Deterministic
-    (exact rational comparisons, fixed tie-breaks); returns [[]] when the
-    point admits no violated cover. *)
+    it per attempt. *)
 
 val solve :
   ?node_budget:int ->
@@ -65,7 +45,6 @@ val solve :
   ?warm_start:Swp_schedule.t ->
   ?stats:Lp.Branch_bound.stats option ref ->
   ?use_reference_lp:bool ->
-  ?cuts:bool ->
   Streamit.Graph.t ->
   Select.config ->
   num_sms:int ->
@@ -92,9 +71,4 @@ val solve :
 
     [use_reference_lp] routes every LP relaxation to the dense reference
     simplex — only meant for benchmarking against the pre-sparse
-    baseline.
-
-    [cuts] (default [false]) builds the problem with the clique
-    inequalities and arms branch-and-bound's root cut loop with
-    {!cover_cuts}, so near-bound candidate IIs are refuted from the
-    strengthened relaxation instead of by enumeration. *)
+    baseline. *)

@@ -9,13 +9,8 @@
       overloaded SMs to the least-loaded fitting SM, then swaps of a big
       overloaded-SM instance against a smaller one elsewhere (each move
       strictly decreases total overload, so repair terminates);
-    + {b re-packs exactly} when greed leaves SMs overloaded and the
-      window is small: the instances of the still-overloaded SMs form a
-      bin-packing ILP against the frozen remainder's residual
-      capacities, screened by the phase-1 LP feasibility oracle and
-      solved by branch-and-bound under a work-unit budget;
     + {b re-places} phase 2 ({!Heuristic.place}) at the target II and
-      validates.
+      validates, when repair left no SM overloaded.
 
     Probes run serially after the upward search has committed, use fixed
     iteration orders and work-unit budgets only, and are committed
@@ -27,18 +22,12 @@ type probe = {
   target : int;         (** candidate II of this probe *)
   feasible : bool;      (** the repaired schedule validated at [target] *)
   moved : int;          (** greedy relocations + swaps applied *)
-  exact_window : bool;  (** the exact window re-pack ILP was attempted *)
-  lp_pivots : int;
-  bb_nodes : int;
-  work_units : int;     (** [1 + lp_pivots + bb_nodes], the ledger charge *)
   time_s : float;       (** CPU seconds (excluded from log signatures) *)
 }
+(** Each probe charges one work unit to the search ledger. *)
 
 val refine :
   ?rounds:int ->
-  ?node_budget:int ->
-  ?window_work:int ->
-  ?max_window_vars:int ->
   ledger_ok:(unit -> bool) ->
   commit:(probe -> unit) ->
   insts:Instances.instance list ->
@@ -54,8 +43,4 @@ val refine :
     most [rounds] (default 12) probes run; [ledger_ok] is consulted
     before each probe so an exhausted search ledger stops refinement
     without failing the search, and [commit] is called exactly once per
-    probe, in order, with its deterministic work accounting.
-    [node_budget] (default 600) and [window_work] (default 1500 work
-    units) bound each exact window re-pack; windows larger than
-    [max_window_vars] (default 96) assignment variables skip the exact
-    step entirely. *)
+    probe, in order. *)

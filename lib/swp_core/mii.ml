@@ -134,22 +134,16 @@ type bounds = {
   recurrence : int;
   no_wrap : int;
   combinatorial : int;
-  lp : int option;
   final : int;
   binding : string;
 }
 
 let binding_name b =
-  match b.lp with
-  | Some v when v > b.combinatorial && v = b.final -> "lp"
-  | _ ->
-    if b.recurrence = b.final then "rec_mii"
-    else if b.res_classic = b.final then "res_mii"
-    else if b.res_sharp = b.final then "res_mii_sharp"
-    else if b.no_wrap = b.final then "no_wrap"
-    else "floor"
-
-let rebind b = { b with binding = binding_name b }
+  if b.recurrence = b.final then "rec_mii"
+  else if b.res_classic = b.final then "res_mii"
+  else if b.res_sharp = b.final then "res_mii_sharp"
+  else if b.no_wrap = b.final then "no_wrap"
+  else "floor"
 
 let unknown_bounds =
   {
@@ -158,7 +152,6 @@ let unknown_bounds =
     recurrence = 0;
     no_wrap = 0;
     combinatorial = 0;
-    lp = None;
     final = 0;
     binding = "unknown";
   }
@@ -169,93 +162,15 @@ let bounds ?deps g cfg ~num_sms =
   let recurrence = rec_mii ?deps g cfg in
   let no_wrap = no_wrap_bound cfg in
   let combinatorial = max no_wrap (max 1 (max res_sharp recurrence)) in
-  rebind
+  let b =
     {
       res_classic;
       res_sharp;
       recurrence;
       no_wrap;
       combinatorial;
-      lp = None;
       final = combinatorial;
       binding = "";
     }
-
-let with_lp b v = rebind { b with lp = Some v; final = max b.final v }
-
-(* --- LP-relaxation / cutting-plane bound ------------------------------ *)
-
-(* A candidate T is refuted when the LP relaxation of the full scheduling
-   ILP — strengthened with the a-priori clique rows and a bounded round
-   of cover cuts separated from its own fractional optimum — is proven
-   infeasible.  Soundness of each probe stands alone: the (cut-
-   strengthened) relaxation's feasible region contains every integral
-   schedule, and ILP feasibility is monotone in T (a schedule at T is a
-   schedule at T+1: constraint (8b) only loosens), so LP-infeasibility
-   at T proves no schedule exists at any T' <= T, i.e. T+1 is a valid
-   lower bound.  The climb below therefore never depends on the
-   {e provability} being monotone — a budget-truncated climb just
-   returns the best bound proven so far. *)
-let lp_bound ?insts ?deps ?(work = 2_000) ?(cut_rounds = 2) g cfg ~num_sms
-    ~start =
-  let insts =
-    match insts with Some l -> l | None -> Instances.instances cfg
   in
-  let deps = match deps with Some l -> l | None -> Instances.deps g cfg in
-  (* A standalone deterministic allotment: the bound is computed once per
-     search, before any attempt, and is a pure function of the problem —
-     it is deliberately not charged to the search ledger, exactly like
-     the combinatorial bounds above. *)
-  let tok = Resil.Budget.create ~label:"mii.lp_bound" ~work () in
-  let refuted t =
-    if t < 1 then true
-    else
-      match Ilp.build ~insts ~deps ~cuts:true g cfg ~num_sms ~ii:t with
-      | Error _ -> true (* some delay >= t: infeasible outright *)
-      | Ok (p, vm) ->
-        let rec go rounds =
-          if Resil.Budget.over_work tok then false
-          else begin
-            let n = Lp.Problem.num_vars p in
-            let lb = Array.init n (Lp.Problem.var_lb p)
-            and ub = Array.init n (Lp.Problem.var_ub p) in
-            match Lp.Simplex.solve_with_bounds ~budget:tok p ~lb ~ub with
-            | Lp.Solution.Infeasible -> true
-            | Lp.Solution.Budget_exhausted _ | Lp.Solution.Unbounded -> false
-            | Lp.Solution.Optimal sol ->
-              if rounds <= 0 then false
-              else (
-                match Ilp.cover_cuts vm insts cfg ~num_sms ~ii:t sol with
-                | [] -> false
-                | cuts ->
-                  List.iter
-                    (fun (lhs, rel, rhs) ->
-                      Lp.Problem.add_constraint p lhs rel rhs)
-                    cuts;
-                  go (rounds - 1))
-          end
-        in
-        go cut_rounds
-  in
-  if not (refuted start) then start
-  else begin
-    (* exponential climb over refuted candidates, then bisection *)
-    let lo = ref start and hi = ref None and step = ref 1 in
-    while !hi = None && not (Resil.Budget.over_work tok) do
-      let t = !lo + !step in
-      if refuted t then begin
-        lo := t;
-        step := 2 * !step
-      end
-      else hi := Some t
-    done;
-    (match !hi with
-    | None -> ()
-    | Some h ->
-      let h = ref h in
-      while !h - !lo > 1 && not (Resil.Budget.over_work tok) do
-        let mid = (!lo + !h) / 2 in
-        if refuted mid then lo := mid else h := mid
-      done);
-    !lo + 1
-  end
+  { b with binding = binding_name b }

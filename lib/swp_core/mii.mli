@@ -66,14 +66,13 @@ type bounds = {
   no_wrap : int;       (** [1 + max live delay] (constraint (4)) *)
   combinatorial : int; (** max of the above, floored at 1 — equals
                            [lower_bound ~level:Sharp] *)
-  lp : int option;     (** cutting-plane refinement when attempted *)
   final : int;         (** the search's starting II *)
   binding : string;
-      (** which component is binding: ["lp"] | ["rec_mii"] |
-          ["res_mii"] | ["res_mii_sharp"] | ["no_wrap"] | ["floor"] |
-          ["unknown"].  When several tie, the first in that order wins
-          (a classic resource bound that already proves the value takes
-          precedence over its sharpening). *)
+      (** which component is binding: ["rec_mii"] | ["res_mii"] |
+          ["res_mii_sharp"] | ["no_wrap"] | ["floor"] | ["unknown"].
+          When several tie, the first in that order wins (a classic
+          resource bound that already proves the value takes precedence
+          over its sharpening). *)
 }
 
 val bounds :
@@ -82,39 +81,9 @@ val bounds :
   Select.config ->
   num_sms:int ->
   bounds
-(** All combinatorial components ([lp] is [None]; the II search grafts
-    it with {!with_lp} when the problem passes the LP gate).
+(** All components and the binding one.
     @raise Unschedulable as {!rec_mii}. *)
-
-val with_lp : bounds -> int -> bounds
-(** Record an LP-bound result: sets [lp], raises [final] to it when it
-    is stronger, and recomputes [binding]. *)
 
 val unknown_bounds : bounds
 (** All-zero placeholder ([binding = "unknown"]) for compiles that never
     reached the bounding step (e.g. a fault before the search). *)
-
-val lp_bound :
-  ?insts:Instances.instance list ->
-  ?deps:Instances.dep list ->
-  ?work:int ->
-  ?cut_rounds:int ->
-  Streamit.Graph.t ->
-  Select.config ->
-  num_sms:int ->
-  start:int ->
-  int
-(** Cutting-plane lower bound from the LP relaxation, [>= start] (pass
-    the combinatorial {!lower_bound} as [start]).  Probes candidate IIs
-    upward: a candidate [T] is {e refuted} when the LP relaxation of the
-    full scheduling ILP at [T] — strengthened with the clique rows and
-    up to [cut_rounds] (default 2) rounds of violated cover cuts
-    ({!Ilp.cover_cuts}) — is proven infeasible; since every integral
-    schedule satisfies the relaxation and ILP feasibility is monotone in
-    [T], each refutation alone certifies [T+1] as a valid bound.
-    Exponential climb plus bisection maximize the refuted prefix under a
-    deterministic work allotment of [work] (default 2000) simplex pivots
-    (kept small because exact-rational pivot cost grows with the II
-    magnitude in the capacity coefficients, not just the tableau size);
-    exhaustion simply returns the best bound proven so far, so the
-    result is reproducible across runs and [--jobs] settings. *)

@@ -1,16 +1,13 @@
-(* Per-candidate-II portfolio: the heuristic packing strategies and the
-   (gated) exact ILP raced as budgeted arms.  The racing order is fixed
-   — ffd, bfd, bal, then exact — and the first feasible arm wins, so
-   the outcome is a pure function of the candidate II and the arms'
-   work caps: speculative parallel probing commits exactly what the
-   serial race would have. *)
+(* Per-candidate-II portfolio: the heuristic packing strategies raced
+   as budgeted arms.  The racing order is fixed — ffd, bfd, bal — and
+   the first feasible arm wins, so the outcome is a pure function of the
+   candidate II and the arms' work caps: speculative parallel probing
+   commits exactly what the serial race would have. *)
 
 type outcome = {
   schedule : Swp_schedule.t option;
   arm : string;
-  tried_exact : bool;
   arms_run : int;
-  bb : Lp.Branch_bound.stats option;
 }
 
 let arm_names = [ "ffd"; "bfd"; "bal"; "exact"; "lns" ]
@@ -25,7 +22,8 @@ let m_lns_improved = Obs.Metrics.counter "portfolio.lns_improved"
 let h_lns_pct = Obs.Metrics.histogram "portfolio.lns_improvement_pct"
 
 (* Called at *commit* time only (ii_search's commit point), never from a
-   speculative probe, so metrics reflect the committed search. *)
+   speculative probe, so metrics reflect the committed search.  "exact"
+   wins are those of the explicit [Exact] solver. *)
 let record_arm arm ~feasible =
   if feasible then
     match List.assoc_opt arm won with
@@ -43,15 +41,13 @@ let record_lns ~from_ii ~to_ii =
     *. float_of_int (from_ii - to_ii)
     /. float_of_int (max 1 from_ii))
 
-let try_ii ?tok ?(allow_exact = false) ?(node_budget = 2000) ?time_budget_s
-    ?(cuts = true) ~insts ~deps g cfg ~num_sms ~ii =
+let try_ii ?tok ~insts ~deps g cfg ~num_sms ~ii =
   let arms_run = ref 0 in
   let over () =
     match tok with Some t -> Resil.Budget.over_work t | None -> false
   in
-  (* Heuristic arms: one work unit each, charged through a per-arm
-     sub-token so a tight per-attempt allotment cuts the race short
-     deterministically. *)
+  (* One work unit per arm, charged through a per-arm sub-token so a
+     tight per-attempt allotment cuts the race short deterministically. *)
   let rec heur = function
     | [] -> None
     | s :: tl ->
@@ -70,31 +66,5 @@ let try_ii ?tok ?(allow_exact = false) ?(node_budget = 2000) ?time_budget_s
       end
   in
   match heur Heuristic.all_strategies with
-  | Some (s, arm) ->
-    { schedule = Some s; arm; tried_exact = false; arms_run = !arms_run; bb = None }
-  | None ->
-    if (not allow_exact) || over () then
-      {
-        schedule = None;
-        arm = "none";
-        tried_exact = false;
-        arms_run = !arms_run;
-        bb = None;
-      }
-    else begin
-      incr arms_run;
-      let sub = Option.map (Resil.Budget.sub ~label:"arm.exact") tok in
-      let bb = ref None in
-      let res =
-        Ilp.solve ~node_budget ?time_budget_s ?budget:sub ~insts ~deps
-          ~stats:bb ~cuts g cfg ~num_sms ~ii
-      in
-      let schedule = match res with `Schedule s -> Some s | _ -> None in
-      {
-        schedule;
-        arm = (if schedule <> None then "exact" else "none");
-        tried_exact = true;
-        arms_run = !arms_run;
-        bb = !bb;
-      }
-    end
+  | Some (s, arm) -> { schedule = Some s; arm; arms_run = !arms_run }
+  | None -> { schedule = None; arm = "none"; arms_run = !arms_run }

@@ -1,20 +1,21 @@
 (** Portfolio of schedulers raced per candidate II.
 
-    Instead of the historical "heuristic, then maybe exact" ladder, each
-    candidate II races several {e arms} in a fixed order — the three
-    {!Heuristic.strategy} packings, then (when admitted) the exact ILP
-    with clique cuts and root cover-cut separation — and the first
-    feasible arm wins.  Different packings fail at different IIs, so the
-    race lowers the achieved II at near-zero cost; the fixed order and
-    work-unit accounting keep every probe a pure function of its
-    candidate II, preserving the commit-prefix discipline that makes
-    serial and [--jobs N] searches byte-identical.
+    Each candidate II races the three {!Heuristic.strategy} packings
+    ({e arms}) in a fixed order, and the first feasible arm wins.
+    Different packings fail at different IIs, so the race lowers the
+    achieved II at near-zero cost; the fixed order and work-unit
+    accounting keep every probe a pure function of its candidate II,
+    preserving the commit-prefix discipline that makes serial and
+    [--jobs N] searches byte-identical.
+
+    The exact ILP is not an arm: it is reachable only through the
+    explicit {!Ii_search.Exact} solver, and serves as the test oracle
+    the packings are measured against.
 
     Budgets: [tok] (the per-attempt allotment) is consulted before each
-    arm and threaded to the arms through per-arm {!Resil.Budget.sub}
-    tokens — one work unit per heuristic arm, the full branch-and-bound
-    charge stream for the exact arm — so a tight per-attempt budget cuts
-    the race short at a deterministic point.
+    arm and charged one work unit per arm through a per-arm
+    {!Resil.Budget.sub} token, so a tight per-attempt budget cuts the
+    race short at a deterministic point.
 
     Metrics ([portfolio.arm_won{arm}], [portfolio.no_arm_won],
     [portfolio.lns_improved], [portfolio.lns_improvement_pct]) are
@@ -24,19 +25,13 @@
 type outcome = {
   schedule : Swp_schedule.t option;  (** the winning arm's schedule *)
   arm : string;
-      (** winning arm: ["ffd"] | ["bfd"] | ["bal"] | ["exact"], or
-          ["none"] when every arm failed *)
-  tried_exact : bool;   (** the exact arm ran (win or lose) *)
+      (** winning arm: ["ffd"] | ["bfd"] | ["bal"], or ["none"] when
+          every arm failed *)
   arms_run : int;       (** arms actually raced (the work-unit charge) *)
-  bb : Lp.Branch_bound.stats option;  (** exact arm's stats when it ran *)
 }
 
 val try_ii :
   ?tok:Resil.Budget.t ->
-  ?allow_exact:bool ->
-  ?node_budget:int ->
-  ?time_budget_s:float ->
-  ?cuts:bool ->
   insts:Instances.instance list ->
   deps:Instances.dep list ->
   Streamit.Graph.t ->
@@ -44,14 +39,12 @@ val try_ii :
   num_sms:int ->
   ii:int ->
   outcome
-(** Race the arms at one candidate II.  [allow_exact] (default [false])
-    admits the exact ILP after every heuristic arm failed — the caller
-    gates it on problem size and bound proximity.  [cuts] (default
-    [true]) arms the exact solve with {!Ilp.cover_cuts}. *)
+(** Race the arms at one candidate II. *)
 
 val record_arm : string -> feasible:bool -> unit
-(** Record a committed attempt's arm outcome (win counter per arm, loss
-    counter for ["none"]).  Call only at commit points. *)
+(** Record a committed attempt's arm outcome (win counter per arm —
+    ["exact"] for the {!Ii_search.Exact} solver — and a loss counter for
+    ["none"]).  Call only at commit points. *)
 
 val record_lns : from_ii:int -> to_ii:int -> unit
 (** Record a committed LNS improvement (counter + magnitude histogram,

@@ -47,7 +47,6 @@ let bounds_doc (b : Mii.bounds) =
       ("rec_mii", J.Int b.Mii.recurrence);
       ("no_wrap", J.Int b.Mii.no_wrap);
       ("combinatorial", J.Int b.Mii.combinatorial);
-      ("lp", match b.Mii.lp with Some v -> J.Int v | None -> J.Null);
       ("final", J.Int b.Mii.final);
       ("binding", J.Str b.Mii.binding);
     ]
@@ -174,9 +173,8 @@ let pp_human fmt t =
     (st.Ii_search.achieved_ii - st.Ii_search.lower_bound)
     (100.0 *. st.Ii_search.relaxation);
   Format.fprintf fmt
-    "    bounds: res_mii=%d sharp=%d rec_mii=%d no_wrap=%d lp=%s@,"
-    b.Mii.res_classic b.Mii.res_sharp b.Mii.recurrence b.Mii.no_wrap
-    (match b.Mii.lp with Some v -> string_of_int v | None -> "skipped");
+    "    bounds: res_mii=%d sharp=%d rec_mii=%d no_wrap=%d@,"
+    b.Mii.res_classic b.Mii.res_sharp b.Mii.recurrence b.Mii.no_wrap;
   Format.fprintf fmt "  search: %d committed attempts%s%s@,"
     st.Ii_search.attempts
     (if st.Ii_search.used_exact then ", exact" else "")

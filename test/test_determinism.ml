@@ -117,6 +117,40 @@ let budgeted name budget =
    deterministic. *)
 let budgeted_cases = [ ("BitonicRec", 25); ("DES", 100) ]
 
+(* ---- sweep grid: the default search is heuristic-only ------------- *)
+
+(* The default search races the heuristic packing arms and LNS repair
+   only; the exact ILP is reachable through the explicit [Exact] solver.
+   On the sweep grid (2/4/6/8 SMs, coarsening 8) no committed attempt
+   may have run the ILP, and — with no CPU-time-capped solve left on the
+   path — two compiles of the same point in one process must commit the
+   same search. *)
+let sweep_grid (e : Benchmarks.Registry.entry) =
+  let name = e.Benchmarks.Registry.name in
+  t (name ^ ": sweep grid heuristic-only and reproducible") (fun () ->
+      let g = Streamit.Flatten.flatten (e.Benchmarks.Registry.stream ()) in
+      List.iter
+        (fun num_sms ->
+          let point = Printf.sprintf "%s@%d" name num_sms in
+          let compile () =
+            match Swp_core.Compile.compile ~num_sms ~coarsening:8 g with
+            | Ok c -> c
+            | Error m -> Alcotest.failf "%s failed to compile: %s" point m
+          in
+          let a = compile () in
+          List.iter
+            (fun (at : Swp_core.Ii_search.attempt) ->
+              if at.Swp_core.Ii_search.tried_exact then
+                Alcotest.failf "%s: attempt at II=%d (arm %s) ran the exact ILP"
+                  point at.Swp_core.Ii_search.ii at.Swp_core.Ii_search.arm)
+            a.Swp_core.Compile.search_stats.Swp_core.Ii_search.attempt_log;
+          let b = compile () in
+          Alcotest.(check string)
+            (point ^ ": schedule signature")
+            (Swp_core.Report.schedule_signature a)
+            (Swp_core.Report.schedule_signature b))
+        [ 2; 4; 6; 8 ])
+
 (* ---- golden CUDA fixtures ------------------------------------------- *)
 
 let read_file path =
@@ -164,4 +198,5 @@ let golden name =
 let suite =
   List.map serial_vs_parallel Benchmarks.Registry.all
   @ List.map (fun (n, b) -> budgeted n b) budgeted_cases
+  @ List.map sweep_grid Benchmarks.Registry.all
   @ List.map golden fixture_benchmarks

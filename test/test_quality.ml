@@ -1,5 +1,5 @@
-(* Property tests for the II-quality work: the sharpened/LP lower
-   bounds, the portfolio search, and LNS refinement.
+(* Property tests for the II-quality work: the sharpened lower bound,
+   the portfolio search, and LNS refinement.
 
    All properties are checked over {!Check.Gen} streams (pinned seed
    ranges, so the suite is deterministic) plus the registry benchmarks
@@ -7,9 +7,7 @@
 
    - every lower bound the search reports is actually below (or at) the
      II it achieves, whatever ladder rung paid for the schedule;
-   - the sharpened combinatorial bound dominates the classic one, and
-     the LP/cutting-plane bound dominates its combinatorial start while
-     staying sound against the search's achieved II;
+   - the sharpened combinatorial bound dominates the classic one;
    - a refined (LNS) schedule still satisfies the full constraint
      system and the buffer-layout bijections of eqs. (9)-(11). *)
 
@@ -92,56 +90,6 @@ let sharp_dominates_classic () =
     Alcotest.failf "only %d/%d seeds reached the bound: generator drifted?"
       !checked (List.length seeds)
 
-(* The LP/cutting-plane bound: >= its combinatorial start by
-   construction, and sound — never above an II the search actually
-   achieves.  Generated streams carry profile-scale delays (IIs in the
-   thousands), outside the magnitude gate the search applies, so this
-   property is driven through small-delay variants of generated
-   configs: the delays are rewritten to small values, which keeps the
-   instance/dependence structure and makes every bound small enough for
-   the exact-rational LP to be cheap. *)
-let lp_bound_sound () =
-  let checked = ref 0 in
-  List.iter
-    (fun seed ->
-      match config_of_seed seed with
-      | None -> ()
-      | Some (g, cfg, _) -> (
-        let cfg =
-          {
-            cfg with
-            Swp_core.Select.delay =
-              Array.map
-                (fun d -> 1 + (d mod (3 + (seed mod 5))))
-                cfg.Swp_core.Select.delay;
-          }
-        in
-        let num_sms = 2 + (seed mod 3) in
-        try
-          let start = Swp_core.Mii.lower_bound g cfg ~num_sms in
-          if
-            Swp_core.Instances.num_instances cfg * num_sms <= 128
-            && start <= 256
-          then begin
-            let lp = Swp_core.Mii.lp_bound g cfg ~num_sms ~start in
-            incr checked;
-            if lp < start then
-              Alcotest.failf "seed %d: lp bound %d below its start %d" seed lp
-                start;
-            match Swp_core.Ii_search.search g cfg ~num_sms with
-            | Error _ -> ()
-            | Ok (_, st) ->
-              let achieved = st.Swp_core.Ii_search.achieved_ii in
-              if lp > achieved then
-                Alcotest.failf
-                  "seed %d: lp bound %d refutes an achieved schedule at II=%d"
-                  seed lp achieved
-          end
-        with Swp_core.Mii.Unschedulable _ -> ()))
-    seeds;
-  if !checked < 3 then
-    Alcotest.failf "only %d seeds exercised lp_bound: gate drifted?" !checked
-
 (* Refinement end to end on the registry benchmarks whose first
    feasible candidate sits above the bound: the refined schedule must
    pass the full constraint-system validation and every structural
@@ -188,42 +136,9 @@ let lns_refined_validates () =
       "no benchmark exercised LNS refinement: the heuristic now achieves \
        the bound everywhere, pick harder refinement cases"
 
-(* Disabling the portfolio must never improve the result: the racing
-   arms only add candidates, so achieved II with the portfolio is <=
-   achieved II without it, seed by seed. *)
-let portfolio_no_worse () =
-  let checked = ref 0 in
-  List.iter
-    (fun seed ->
-      match config_of_seed seed with
-      | None -> ()
-      | Some (g, _, _) -> (
-        match
-          ( Swp_core.Compile.compile g,
-            Swp_core.Compile.compile ~portfolio:false ~lns_rounds:0 g )
-        with
-        | Ok a, Ok b
-          when a.Swp_core.Compile.quality <> Swp_core.Compile.Degraded
-               && b.Swp_core.Compile.quality <> Swp_core.Compile.Degraded ->
-          incr checked;
-          let ii (c : Swp_core.Compile.compiled) =
-            c.Swp_core.Compile.search_stats.Swp_core.Ii_search.achieved_ii
-          in
-          if ii a > ii b then
-            Alcotest.failf
-              "seed %d: portfolio worsened the II (%d with, %d without)" seed
-              (ii a) (ii b)
-        | _ -> ()))
-    seeds;
-  if !checked < 5 then
-    Alcotest.failf "only %d/%d seeds compiled both ways: generator drifted?"
-      !checked (List.length seeds)
-
 let suite =
   [
     t "bound <= achieved II on generated streams" bound_le_achieved;
     t "sharp ResMII dominates classic" sharp_dominates_classic;
-    t "lp bound >= start and sound vs achieved II" lp_bound_sound;
     t "refined schedules validate + invariants hold" lns_refined_validates;
-    t "portfolio never worsens the achieved II" portfolio_no_worse;
   ]

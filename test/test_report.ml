@@ -63,7 +63,7 @@ let report_tests =
           ("binding bound is attributed: " ^ binding)
           true
           (List.mem binding
-             [ "res_mii"; "res_mii_sharp"; "rec_mii"; "no_wrap"; "lp"; "floor" ]);
+             [ "res_mii"; "res_mii_sharp"; "rec_mii"; "no_wrap"; "floor" ]);
         (* The binding name must actually point at a component equal to
            the final bound — the attribution is checkable, not a label. *)
         let component = function
@@ -71,7 +71,6 @@ let report_tests =
           | "res_mii_sharp" -> st.Ii_search.bounds.Mii.res_sharp
           | "rec_mii" -> st.Ii_search.bounds.Mii.recurrence
           | "no_wrap" -> st.Ii_search.bounds.Mii.no_wrap
-          | "lp" -> Option.value st.Ii_search.bounds.Mii.lp ~default:(-1)
           | _ -> st.Ii_search.bounds.Mii.final
         in
         Alcotest.(check int) "binding component equals final bound" lb
