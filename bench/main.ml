@@ -56,6 +56,17 @@ let geomean xs =
 
 let line () = print_endline (String.make 78 '-')
 
+(* Machine-readable results: one BENCH_*.json document per section. *)
+let write_json path doc =
+  let oc = open_out path in
+  output_string oc (Obs.Report.to_string_indent doc);
+  close_out oc
+
+(* [x] rounded to [digits] decimals, so recorded timings print short. *)
+let round digits x =
+  let m = 10.0 ** float_of_int digits in
+  Float.round (x *. m) /. m
+
 (* --- Table I: benchmark suite --- *)
 
 let table1 benches =
@@ -415,38 +426,48 @@ let solvertime () =
     mismatches;
   line ();
   (* machine-readable record, consumed by the acceptance check *)
-  let oc = open_out "BENCH_solver.json" in
   let field (m : solver_measurement) =
-    Printf.sprintf
-      "{\"time_s\": %.6f, \"lp_pivots\": %d, \"bb_nodes\": %d, \"ii\": %d, \
-       \"capped\": %b}"
-      m.time_s m.lp_pivots m.bb_nodes m.result_ii m.capped
+    Obs.Report.(
+      Obj
+        [
+          ("time_s", Float (round 6 m.time_s));
+          ("lp_pivots", Int m.lp_pivots);
+          ("bb_nodes", Int m.bb_nodes);
+          ("ii", Int m.result_ii);
+          ("capped", Bool m.capped);
+        ])
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"note\": \"baseline emulates the pre-optimization solver stack \
-     (dense tableau, cold branch-and-bound, per-II re-expansion); the \
-     rational fast path cannot be disabled, so baseline times are a lower \
-     bound and speedups conservative; baseline pivot counts only cover \
-     relaxations solved to optimality\",\n\
-    \  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, b, c) ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"baseline\": %s, \"current\": %s, \
-         \"speedup\": %.2f}%s\n"
-        name (field b) (field c)
-        (b.time_s /. c.time_s)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"total\": {\"baseline_s\": %.6f, \"current_s\": %.6f, \"speedup\": \
-     %.2f}\n\
-     }\n"
-    base_total cur_total
-    (base_total /. cur_total);
-  close_out oc;
+  write_json "BENCH_solver.json"
+    Obs.Report.(
+      Obj
+        [
+          ( "note",
+            Str
+              "baseline emulates the pre-optimization solver stack (dense \
+               tableau, cold branch-and-bound, per-II re-expansion); the \
+               rational fast path cannot be disabled, so baseline times are \
+               a lower bound and speedups conservative; baseline pivot \
+               counts only cover relaxations solved to optimality" );
+          ( "workloads",
+            Arr
+              (List.map
+                 (fun (name, b, c) ->
+                   Obj
+                     [
+                       ("name", Str name);
+                       ("baseline", field b);
+                       ("current", field c);
+                       ("speedup", Float (round 2 (b.time_s /. c.time_s)));
+                     ])
+                 rows) );
+          ( "total",
+            Obj
+              [
+                ("baseline_s", Float (round 6 base_total));
+                ("current_s", Float (round 6 cur_total));
+                ("speedup", Float (round 2 (base_total /. cur_total)));
+              ] );
+        ]);
   Printf.printf "wrote BENCH_solver.json (total speedup %.1fx)\n"
     (base_total /. cur_total)
 
@@ -570,7 +591,7 @@ let pipeline_report () =
         Obs.Trace.disable ();
         Printf.printf "%-12s compile failed: %s\n" e.name m
       | Ok c ->
-        ignore (Cudagen.Kernel_gen.program c);
+        ignore (Kir.Backend.emit_compiled Kir.Ir.Cuda c);
         ignore (Swp_core.Executor.time_swp c);
         Obs.Trace.disable ();
         let dur name =
@@ -665,7 +686,7 @@ let partime ~jobs =
     match Swp_core.Compile.compile ~num_sms ~coarsening:8 graph with
     | Error m -> failwith m
     | Ok c ->
-      (c.Swp_core.Compile.schedule, Cudagen.Kernel_gen.program c)
+      (c.Swp_core.Compile.schedule, Kir.Backend.emit_compiled Kir.Ir.Cuda c)
   in
   let timed jobs tasks =
     Par.Pool.set_jobs jobs;
@@ -704,42 +725,47 @@ let partime ~jobs =
     total_par_s
     (total_serial_s /. total_par_s);
   line ();
-  let oc = open_out "BENCH_par.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"note\": \"full registry compiled at num_sms in {2,4,6,8}, serial \
-     vs a %d-domain pool; 'identical' asserts byte-identical schedules and \
-     CUDA across the two runs; speedups only exceed 1 when the host has \
-     spare cores\",\n\
-    \  \"host\": \"%s\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"benchmarks\": [\n"
-    jobs
-    (String.escaped (host_description ()))
-    (Domain.recommended_domain_count ())
-    jobs;
-  List.iteri
-    (fun i (name, s, p, identical) ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"serial_s\": %.4f, \"parallel_s\": %.4f, \
-         \"speedup\": %.2f, \"identical\": %b}%s\n"
-        name s p (s /. p) identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"total\": {\"serial_s\": %.4f, \"parallel_s\": %.4f, \"speedup\": \
-     %.2f}\n\
-     }\n"
-    total_serial_s total_par_s
-    (total_serial_s /. total_par_s);
-  close_out oc;
+  write_json "BENCH_par.json"
+    Obs.Report.(
+      Obj
+        [
+          ( "note",
+            Str
+              (Printf.sprintf
+                 "full registry compiled at num_sms in {2,4,6,8}, serial vs \
+                  a %d-domain pool; 'identical' asserts byte-identical \
+                  schedules and CUDA across the two runs; speedups only \
+                  exceed 1 when the host has spare cores"
+                 jobs) );
+          ("host", Str (host_description ()));
+          ("host_cores", Int (Domain.recommended_domain_count ()));
+          ("jobs", Int jobs);
+          ( "benchmarks",
+            Arr
+              (List.map
+                 (fun (name, s, p, identical) ->
+                   Obj
+                     [
+                       ("name", Str name);
+                       ("serial_s", Float (round 4 s));
+                       ("parallel_s", Float (round 4 p));
+                       ("speedup", Float (round 2 (s /. p)));
+                       ("identical", Bool identical);
+                     ])
+                 rows) );
+          ( "total",
+            Obj
+              [
+                ("serial_s", Float (round 4 total_serial_s));
+                ("parallel_s", Float (round 4 total_par_s));
+                ("speedup", Float (round 2 (total_serial_s /. total_par_s)));
+              ] );
+        ]);
   Printf.printf "wrote BENCH_par.json (grid speedup %.2fx at jobs=%d)\n"
     (total_serial_s /. total_par_s)
     jobs
 
-(* --- Degradation-ladder quality vs budget (BENCH_resil.json) --- *)
+(* --- Degradation-ladder quality vs budget (BENCH_quality.json) --- *)
 
 (* Every registry benchmark compiled under a descending ladder of
    work-unit budgets, down to zero.  The compiler must return Ok at
@@ -787,55 +813,36 @@ let resil_bench () =
       Benchmarks.Registry.all
   in
   line ();
-  let oc = open_out "BENCH_resil.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"note\": \"full registry compiled under descending II-search \
-     work-unit budgets (null = unlimited); quality records the \
-     degradation-ladder rung (exact/refined/heuristic/degraded) and achieved_ii \
-     what the budget bought; every rung must compile Ok\",\n\
-    \  \"rows\": [\n";
-  List.iteri
-    (fun i (name, budget, q, (st : Swp_core.Ii_search.stats)) ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"budget\": %s, \"quality\": \"%s\", \
-         \"achieved_ii\": %d, \"lower_bound\": %d, \"attempts\": %d}%s\n"
-        name
-        (match budget with None -> "null" | Some b -> string_of_int b)
-        q st.Swp_core.Ii_search.achieved_ii st.Swp_core.Ii_search.lower_bound
-        st.Swp_core.Ii_search.attempts
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_resil.json (%d rows)\n" (List.length rows);
-  (* Schedule-quality view of the same ladder: the achieved-over-bound
-     gap per row, the headline metric the portfolio search and LNS
-     refinement drive down. *)
-  let oc = open_out "BENCH_quality.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"note\": \"II quality per benchmark and budget: gap_pct = \
-     100*(achieved_ii - lower_bound)/lower_bound against the sharpened \
-     combinatorial (and, on small problems, LP/cutting-plane) lower \
-     bound; quality records the degradation-ladder rung \
-     (exact/refined/heuristic/degraded)\",\n\
-    \  \"rows\": [\n";
-  List.iteri
-    (fun i (name, budget, q, (st : Swp_core.Ii_search.stats)) ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"budget\": %s, \"quality\": \"%s\", \
-         \"achieved_ii\": %d, \"lower_bound\": %d, \"gap_pct\": %.3f, \
-         \"attempts\": %d}%s\n"
-        name
-        (match budget with None -> "null" | Some b -> string_of_int b)
-        q st.Swp_core.Ii_search.achieved_ii st.Swp_core.Ii_search.lower_bound
-        (gap_pct st) st.Swp_core.Ii_search.attempts
-        (if i = List.length rows - 1 then "" else ",")
-    )
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  write_json "BENCH_quality.json"
+    Obs.Report.(
+      Obj
+        [
+          ( "note",
+            Str
+              "full registry compiled under descending II-search work-unit \
+               budgets (null = unlimited); quality records the \
+               degradation-ladder rung (exact/refined/heuristic/degraded) \
+               and achieved_ii what the budget bought, and every rung must \
+               compile Ok; gap_pct = 100*(achieved_ii - \
+               lower_bound)/lower_bound against the sharpened combinatorial \
+               lower bound" );
+          ( "rows",
+            Arr
+              (List.map
+                 (fun (name, budget, q, (st : Swp_core.Ii_search.stats)) ->
+                   Obj
+                     [
+                       ("name", Str name);
+                       ( "budget",
+                         match budget with None -> Null | Some b -> Int b );
+                       ("quality", Str q);
+                       ("achieved_ii", Int st.Swp_core.Ii_search.achieved_ii);
+                       ("lower_bound", Int st.Swp_core.Ii_search.lower_bound);
+                       ("gap_pct", Float (round 3 (gap_pct st)));
+                       ("attempts", Int st.Swp_core.Ii_search.attempts);
+                     ])
+                 rows) );
+        ]);
   Printf.printf "wrote BENCH_quality.json (%d rows)\n" (List.length rows)
 
 (* --- Serve-cache throughput hot vs cold (BENCH_serve.json) --- *)
@@ -916,28 +923,39 @@ let serve_bench () =
     hot_rate;
   Printf.printf "hot/cold speedup: %.1fx %s\n" speedup
     (if speedup >= 10.0 then "(>= 10x: OK)" else "(BELOW 10x)");
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"note\": \"full registry through Cache.Service: cold = fresh \
-     service + cleared profile memo (every request compiles), hot = \
-     sustained hit loop against a warmed service; hot requests still \
-     pay canonical serialization + MD5, so the speedup is the \
-     end-to-end gain a long-lived serve daemon sees\",\n\
-    \  \"cold\": {\"compiles\": %d, \"seconds\": %.4f, \
-     \"compiles_per_sec\": %.2f},\n\
-    \  \"hot\": {\"requests\": %d, \"seconds\": %.4f, \
-     \"compiles_per_sec\": %.2f},\n\
-    \  \"speedup\": %.1f,\n\
-    \  \"cold_per_benchmark\": [\n"
-    cold_n cold_s cold_rate !reqs hot_s hot_rate speedup;
-  List.iteri
-    (fun i (name, s) ->
-      Printf.fprintf oc "    {\"name\": \"%s\", \"seconds\": %.4f}%s\n" name s
-        (if i = List.length cold_rows - 1 then "" else ","))
-    cold_rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  write_json "BENCH_serve.json"
+    Obs.Report.(
+      Obj
+        [
+          ( "note",
+            Str
+              "full registry through Cache.Service: cold = fresh service + \
+               cleared profile memo (every request compiles), hot = \
+               sustained hit loop against a warmed service; hot requests \
+               still pay canonical serialization + MD5, so the speedup is \
+               the end-to-end gain a long-lived serve daemon sees" );
+          ( "cold",
+            Obj
+              [
+                ("compiles", Int cold_n);
+                ("seconds", Float (round 4 cold_s));
+                ("compiles_per_sec", Float (round 2 cold_rate));
+              ] );
+          ( "hot",
+            Obj
+              [
+                ("requests", Int !reqs);
+                ("seconds", Float (round 4 hot_s));
+                ("compiles_per_sec", Float (round 2 hot_rate));
+              ] );
+          ("speedup", Float (round 1 speedup));
+          ( "cold_per_benchmark",
+            Arr
+              (List.map
+                 (fun (name, s) ->
+                   Obj [ ("name", Str name); ("seconds", Float (round 4 s)) ])
+                 cold_rows) );
+        ]);
   Printf.printf "wrote BENCH_serve.json (speedup %.1fx)\n" speedup
 
 (* --- Overload behaviour under a 4x-capacity burst (BENCH_harden.json) --- *)
@@ -963,18 +981,22 @@ let harden_bench () =
       (i + 2)
   in
   let burst_line () =
-    let reqs =
-      List.init burst (fun i ->
-          Printf.sprintf "{\"id\":%d,\"op\":\"compile\",\"src\":\"%s\"}"
-            (i + 1) (src i))
-    in
-    "[" ^ String.concat "," reqs ^ "]"
+    Obs.Report.(
+      to_string
+        (Arr
+           (List.init burst (fun i ->
+                Obj
+                  [
+                    ("id", Int (i + 1));
+                    ("op", Str "compile");
+                    ("src", Str (src i));
+                  ]))))
   in
   let statuses daemon =
     match Cache.Daemon.handle_line daemon (burst_line ()) with
     | `Shutdown _ -> failwith "harden: unexpected shutdown"
     | `Reply s -> (
-      match Cache.Protocol.parse s with
+      match Obs.Report.parse s with
       | Obs.Report.Arr docs ->
         List.map
           (fun d ->
@@ -1019,34 +1041,33 @@ let harden_bench () =
     "burst %d vs capacity %d: %d admitted (all ok), %d shed (tail, \
      reproducible), peak occupancy %d, %.3fs\n"
     burst capacity admitted sheds occ.Cache.Guard.peak_outstanding burst_s;
-  let oc = open_out "BENCH_harden.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"note\": \"a 4x-capacity burst of distinct compiles through the \
-     production Cache.Daemon batch path: admission is serial in arrival \
-     order, so exactly capacity requests are admitted (and all complete) \
-     while the tail sheds with deterministic overloaded+retry_after_ms \
-     responses; peak queue occupancy never exceeds max_inflight + \
-     queue_cap, and heap growth stays bounded by the admitted work, not \
-     the burst size\",\n\
-    \  \"max_inflight\": %d,\n\
-    \  \"queue_cap\": %d,\n\
-    \  \"capacity\": %d,\n\
-    \  \"burst\": %d,\n\
-    \  \"admitted_completed_ok\": %d,\n\
-    \  \"shed\": %d,\n\
-    \  \"sheds_at_tail\": %b,\n\
-    \  \"reproducible\": %b,\n\
-    \  \"peak_outstanding\": %d,\n\
-    \  \"peak_work\": %d,\n\
-    \  \"burst_seconds\": %.4f,\n\
-    \  \"top_heap_words_before\": %d,\n\
-    \  \"top_heap_words_after\": %d\n\
-     }\n"
-    max_inflight queue_cap capacity burst admitted sheds tail_shed
-    deterministic occ.Cache.Guard.peak_outstanding occ.Cache.Guard.peak_work
-    burst_s heap0 heap1;
-  close_out oc;
+  write_json "BENCH_harden.json"
+    Obs.Report.(
+      Obj
+        [
+          ( "note",
+            Str
+              "a 4x-capacity burst of distinct compiles through the \
+               production Cache.Daemon batch path: admission is serial in \
+               arrival order, so exactly capacity requests are admitted (and \
+               all complete) while the tail sheds with deterministic \
+               overloaded+retry_after_ms responses; peak queue occupancy \
+               never exceeds max_inflight + queue_cap, and heap growth stays \
+               bounded by the admitted work, not the burst size" );
+          ("max_inflight", Int max_inflight);
+          ("queue_cap", Int queue_cap);
+          ("capacity", Int capacity);
+          ("burst", Int burst);
+          ("admitted_completed_ok", Int admitted);
+          ("shed", Int sheds);
+          ("sheds_at_tail", Bool tail_shed);
+          ("reproducible", Bool deterministic);
+          ("peak_outstanding", Int occ.Cache.Guard.peak_outstanding);
+          ("peak_work", Int occ.Cache.Guard.peak_work);
+          ("burst_seconds", Float (round 4 burst_s));
+          ("top_heap_words_before", Int heap0);
+          ("top_heap_words_after", Int heap1);
+        ]);
   Printf.printf "wrote BENCH_harden.json (%d/%d shed deterministically)\n"
     sheds burst
 

@@ -276,14 +276,6 @@ let target_arg =
            $(b,metal).  The schedule is backend-independent; only the \
            printed kernel changes.")
 
-(* The CUDA path stays on [Kernel_gen.program] for its codegen
-   metrics/trace span; bytes are pinned equal to the KIR printer by the
-   golden fixtures. *)
-let emit_target t c =
-  match t with
-  | Kir.Ir.Cuda -> Cudagen.Kernel_gen.program c
-  | t -> Kir.Backend.emit_compiled t c
-
 let compile_cmd =
   let doc = "Compile through the full pipeline of Fig. 5; print the schedule." in
   let run spec n target jobs deadline budget on_budget lns_rounds metrics =
@@ -352,7 +344,7 @@ let emit_cmd =
              Printf.eprintf "error: compile: %s\n" m;
              1
            | Ok c ->
-             print_string (emit_target target c);
+             print_string (Kir.Backend.emit_compiled target c);
              0)
   in
   Cmd.v (Cmd.info "emit" ~doc)
@@ -517,7 +509,7 @@ let trace_cmd =
             Printf.eprintf "error: compile: %s\n" m;
             1
           | Ok c ->
-            ignore (Cudagen.Kernel_gen.program c);
+            ignore (Kir.Backend.emit_compiled Kir.Ir.Cuda c);
             let gt = Swp_core.Executor.time_swp c in
             Printf.printf "II=%d cycles, %.1f cycles/steady state\n"
               gt.Swp_core.Executor.ii_cycles

@@ -249,7 +249,7 @@ let shutdown t (req : Protocol.request) =
 (* One input line -> `Reply response | `Shutdown response. *)
 let handle_line t line =
   match Protocol.parse line with
-  | exception Protocol.Parse_error m ->
+  | exception Obs.Report.Parse_error m ->
     `Reply (Protocol.error_response ("invalid JSON: " ^ m))
   | Obs.Report.Arr docs ->
     (* Parse the whole batch, admit serially in order, then fan out. *)

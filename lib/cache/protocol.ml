@@ -1,20 +1,14 @@
 (* Wire protocol for [streamit_gpu serve]: newline-delimited JSON.
 
    One request object per line in, one response object per line out,
-   in request order.  The repo already has a JSON *writer*
-   ([Obs.Report]); this module adds the minimal reader the daemon
-   needs — objects, arrays, strings, numbers, booleans, null — plus
-   the typed request/response layer.
-
-   The reader is hardened for a long-lived daemon fed by untrusted
-   clients: duplicate object keys, non-finite numbers (1e999 parses to
-   infinity and would silently coerce) and invalid UTF-8 inside
-   strings are all rejected — the last matters because request ids are
-   echoed back verbatim, and echoing invalid UTF-8 would make the
-   daemon emit invalid JSON.  Typed fields are strict: a present field
-   of the wrong type is an error, never silently ignored.  Input lines
-   are read through {!read_bounded_line}, so one huge line costs a
-   bounded buffer and a one-line error response, not an OOM.
+   in request order.  Documents are read and written by [Obs.Report],
+   whose reader is hardened for untrusted clients (duplicate keys,
+   non-finite numbers and invalid UTF-8 are rejected — the last matters
+   because request ids are echoed back verbatim).  This module adds the
+   typed request/response layer on top.  Typed fields are strict: a
+   present field of the wrong type is an error, never silently ignored.
+   Input lines are read through {!read_bounded_line}, so one huge line
+   costs a bounded buffer and a one-line error response, not an OOM.
 
    Request schema (all fields optional unless noted):
      {"op": "compile" | "stats" | "ping" | "shutdown", // default "compile"
@@ -43,214 +37,12 @@
 
 module J = Obs.Report
 
-exception Parse_error of string
-
-(* --- UTF-8 validation --- *)
-
-(* Strict validation (rejects overlongs and surrogates): the daemon
-   echoes string fields back, so accepting invalid UTF-8 here would
-   mean emitting it later. *)
-let utf8_valid s =
-  let n = String.length s in
-  let byte i = Char.code s.[i] in
-  let cont i = i < n && byte i land 0xC0 = 0x80 in
-  let rec go i =
-    if i >= n then true
-    else
-      let c = byte i in
-      if c < 0x80 then go (i + 1)
-      else if c < 0xC2 then false (* bare continuation or overlong lead *)
-      else if c < 0xE0 then cont (i + 1) && go (i + 2)
-      else if c < 0xF0 then
-        let b1_ok =
-          i + 1 < n
-          &&
-          let b1 = byte (i + 1) in
-          if c = 0xE0 then b1 >= 0xA0 && b1 <= 0xBF (* no overlongs *)
-          else if c = 0xED then b1 >= 0x80 && b1 <= 0x9F (* no surrogates *)
-          else b1 land 0xC0 = 0x80
-        in
-        b1_ok && cont (i + 2) && go (i + 3)
-      else if c < 0xF5 then
-        let b1_ok =
-          i + 1 < n
-          &&
-          let b1 = byte (i + 1) in
-          if c = 0xF0 then b1 >= 0x90 && b1 <= 0xBF
-          else if c = 0xF4 then b1 >= 0x80 && b1 <= 0x8F (* <= U+10FFFF *)
-          else b1 land 0xC0 = 0x80
-        in
-        b1_ok && cont (i + 2) && cont (i + 3) && go (i + 4)
-      else false
-  in
-  go 0
-
-(* --- reader --- *)
-
-let parse (s : string) : J.t =
+(* The one JSON reader is [Obs.Report.parse]; requests go through this
+   wrapper so the protocol.decode fault site sees every decode. *)
+let parse s =
   if Resil.Inject.hit "protocol.decode" then
-    raise (Parse_error "injected fault: protocol.decode");
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (if !pos >= n then fail "unterminated escape";
-         match s.[!pos] with
-         | '"' -> Buffer.add_char b '"'; advance ()
-         | '\\' -> Buffer.add_char b '\\'; advance ()
-         | '/' -> Buffer.add_char b '/'; advance ()
-         | 'n' -> Buffer.add_char b '\n'; advance ()
-         | 'r' -> Buffer.add_char b '\r'; advance ()
-         | 't' -> Buffer.add_char b '\t'; advance ()
-         | 'b' -> Buffer.add_char b '\b'; advance ()
-         | 'f' -> Buffer.add_char b '\012'; advance ()
-         | 'u' ->
-           if !pos + 4 >= n then fail "truncated \\u escape";
-           let hex = String.sub s (!pos + 1) 4 in
-           let code =
-             match int_of_string_opt ("0x" ^ hex) with
-             | Some c -> c
-             | None -> fail "bad \\u escape"
-           in
-           (* Encode the code point as UTF-8; surrogate pairs are rare
-              enough in compiler requests that the BMP suffices. *)
-           if code < 0x80 then Buffer.add_char b (Char.chr code)
-           else if code < 0x800 then begin
-             Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-             Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-           end
-           else begin
-             Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-             Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-             Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-           end;
-           pos := !pos + 5
-         | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    let out = Buffer.contents b in
-    if not (utf8_valid out) then fail "invalid UTF-8 in string";
-    out
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match int_of_string_opt text with
-    | Some i -> J.Int i
-    | None -> (
-      match float_of_string_opt text with
-      | Some f when Float.is_finite f -> J.Float f
-      | Some _ -> fail ("number out of range " ^ text)
-      | None -> fail ("bad number " ^ text))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        J.Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          (* Duplicate keys are a classic smuggling vector (readers
-             disagree on which copy wins); refuse them outright. *)
-          if List.mem_assoc k acc then fail (Printf.sprintf "duplicate key %S" k);
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((k, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
-        in
-        J.Obj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        J.Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
-        in
-        J.Arr (elements [])
-      end
-    | Some '"' -> J.Str (parse_string ())
-    | Some 't' -> literal "true" (J.Bool true)
-    | Some 'f' -> literal "false" (J.Bool false)
-    | Some 'n' -> literal "null" J.Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+    raise (J.Parse_error "injected fault: protocol.decode");
+  J.parse s
 
 (* --- bounded line reads --- *)
 
@@ -402,7 +194,7 @@ let request_of_json doc =
 
 let parse_request line =
   match parse line with
-  | exception Parse_error m -> Error ("invalid JSON: " ^ m)
+  | exception J.Parse_error m -> Error ("invalid JSON: " ^ m)
   | doc -> request_of_json doc
 
 (* --- responses --- *)

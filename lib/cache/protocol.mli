@@ -1,20 +1,13 @@
 (** Newline-delimited JSON protocol for [streamit_gpu serve]: one
     request object per line, one response per line, in order.
-    Includes the minimal JSON reader the daemon needs (the repo's
-    [Obs.Report] is writer-only), hardened for untrusted input:
-    duplicate object keys, non-finite numbers and invalid UTF-8 in
-    strings are rejected, typed fields error on the wrong type instead
-    of being silently ignored, and {!read_bounded_line} caps how much
-    one request line may buffer. *)
-
-exception Parse_error of string
+    Documents are read by the hardened [Obs.Report.parse]; typed fields
+    error on the wrong type instead of being silently ignored, and
+    {!read_bounded_line} caps how much one request line may buffer. *)
 
 val parse : string -> Obs.Report.t
-(** Parse one JSON document.  Counts the ["protocol.decode"] inject
-    site.  @raise Parse_error on malformed input or trailing bytes. *)
-
-val utf8_valid : string -> bool
-(** Strict UTF-8 validation (overlongs and surrogates rejected). *)
+(** [Obs.Report.parse] behind the ["protocol.decode"] inject site, for
+    request lines.  @raise Obs.Report.Parse_error on malformed input or
+    an injected fault. *)
 
 type read_result =
   | Line of string

@@ -158,14 +158,7 @@ let render key ~(target : Kir.Ir.target) (c : Compile.compiled) =
     signature = Swp_core.Report.schedule_signature c;
     schedule = schedule_text c;
     layout = layout_text c;
-    kernel =
-      (* The CUDA path goes through [Kernel_gen.program] for the codegen
-         metrics/trace span it carries; the bytes are identical to
-         [Kir.Backend.emit_compiled Cuda c] (pinned by the golden
-         fixtures). *)
-      (match target with
-      | Kir.Ir.Cuda -> Cudagen.Kernel_gen.program c
-      | t -> Kir.Backend.emit_compiled t c);
+    kernel = Kir.Backend.emit_compiled target c;
     (* No program name (requests may name the same graph differently)
        and no timings: the report must be a pure function of the key. *)
     report = Swp_core.Report.to_json (Swp_core.Report.assemble c);

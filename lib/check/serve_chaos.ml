@@ -69,22 +69,16 @@ let src_c =
    push(pop() + pop()); } filter U pop 1 push 0 { let y = pop(); } pipeline \
    R { add S; add T; add U; }"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let compile_line ~id ?(coarsening = 1) src =
-  Printf.sprintf
-    "{\"id\":%d,\"op\":\"compile\",\"coarsening\":%d,\"src\":\"%s\"}" id
-    coarsening (json_escape src)
+  Obs.Report.(
+    to_string
+      (Obj
+         [
+           ("id", Int id);
+           ("op", Str "compile");
+           ("coarsening", Int coarsening);
+           ("src", Str src);
+         ]))
 
 (* The compile population each seed draws from; the audit cold-compiles
    the same pairs.  (src, coarsening) both feed the cache key. *)
@@ -110,9 +104,7 @@ let script_for rng =
     List.init 3 (fun _ ->
         incr id;
         let src, coarsening = pick population in
-        Printf.sprintf
-          "{\"id\":%d,\"op\":\"compile\",\"coarsening\":%d,\"src\":\"%s\"}"
-          !id coarsening (json_escape src))
+        compile_line ~id:!id ~coarsening src)
   in
   add ("[" ^ String.concat "," batch ^ "]");
   add "{\"id\":100,\"op\":\"ping\"}";
@@ -184,8 +176,8 @@ let well_formed line =
       )
     | _ -> Error "response is not an object"
   in
-  match Cache.Protocol.parse line with
-  | exception Cache.Protocol.Parse_error m ->
+  match J.parse line with
+  | exception J.Parse_error m ->
     Error ("unparseable response: " ^ m)
   | J.Arr docs ->
     List.fold_left
@@ -297,7 +289,7 @@ let overload_burst () =
   | `Shutdown _ -> Error "burst: unexpected shutdown"
   | `Reply s -> (
     let module J = Obs.Report in
-    match Cache.Protocol.parse s with
+    match J.parse s with
     | J.Arr docs when List.length docs = burst ->
       let ok = ref true and sheds = ref 0 in
       List.iteri

@@ -7,9 +7,27 @@ let emit (t : Ir.target) (p : Ir.program) =
   | Ir.Opencl -> Print_cfam.print Print_cfam.Opencl p
   | Ir.Metal -> Print_cfam.print Print_cfam.Metal p
 
-(* Lower once, print one target. *)
+let m_lines = Obs.Metrics.counter "cudagen.lines"
+let m_filters = Obs.Metrics.counter "cudagen.filters"
+
+(* Lower once, print one target, inside the "codegen" span.  The
+   counters keep their historical "cudagen." names; they count every
+   target's output lines. *)
 let emit_compiled (t : Ir.target) (c : Swp_core.Compile.compiled) =
-  emit t (Lower.lower c)
+  Obs.Trace.with_span "codegen" @@ fun () ->
+  let src = emit t (Lower.lower c) in
+  let rec count_lines i n =
+    match String.index_from_opt src i '\n' with
+    | Some j -> count_lines (j + 1) (n + 1)
+    | None -> n
+  in
+  let lines = count_lines 0 0 in
+  let filters = Array.length c.Swp_core.Compile.graph.Streamit.Graph.nodes in
+  Obs.Metrics.add m_lines lines;
+  Obs.Metrics.add m_filters filters;
+  Obs.Trace.add_attr "lines" (Obs.Trace.Int lines);
+  Obs.Trace.add_attr "filters" (Obs.Trace.Int filters);
+  src
 
 (* Emit and structurally lint in one step. *)
 let emit_checked (t : Ir.target) (p : Ir.program) =

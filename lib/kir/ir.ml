@@ -1,8 +1,7 @@
 (* Portable kernel IR (KIR) — core types (module Kir.Ir).
 
-   The schedule -> code path used to live entirely inside
-   [Cudagen.Kernel_gen], which walked the compiled value and printed
-   CUDA in one pass.  KIR splits that into
+   The schedule -> code path used to be one generator that walked the
+   compiled value and printed CUDA in one pass.  KIR splits that into
 
      Swp_core.Compile.compiled --Lower--> Kir.program --printer--> text
 

@@ -6,7 +6,7 @@
    header are all decided in this pass.
 
    Byte-compatibility invariant: driving the CUDA printer with the
-   lowered program reproduces the historical [Cudagen.Kernel_gen]
+   lowered program reproduces the historical one-pass generator's
    output byte for byte on every benchmark (pinned by the golden
    fixtures under test/fixtures/codegen/), so the lowering must keep
    the same orderings the one-pass generator used — work functions in

@@ -1,7 +1,7 @@
 (* CUDA backend printer.
 
-   This is the historical [Cudagen.Emit] + [Cudagen.Kernel_gen] text
-   generator, re-driven by a lowered {!Ir.program}.  Its output is
+   This is the historical one-pass CUDA text generator, re-driven by a
+   lowered {!Ir.program}, plus the per-filter profiling driver.  Its output is
    pinned byte-for-byte against the pre-refactor generator by the
    golden fixtures (test/fixtures/codegen/*.cu) — change nothing here
    without regenerating them on purpose. *)
@@ -376,4 +376,45 @@ let print (p : Ir.program) =
     (Printf.sprintf "  swp_kernel<<<%d, %d>>>(%s);\n" p.Ir.grid p.Ir.block
        args);
   Buffer.add_string buf "  cudaDeviceSynchronize();\n  return 0;\n}\n";
+  Buffer.contents buf
+
+(* A standalone profiling program for one filter (Fig. 6): its device
+   function plus a kernel that fires it [numfirings] times and a host
+   [main] that times the launch. *)
+let profile_driver (f : Kernel.filter) ~numfirings =
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf "#include <cuda_runtime.h>\n#include <cstdio>\n\n";
+  Buffer.add_string buf (c_of_filter f);
+  Buffer.add_string buf
+    (Printf.sprintf
+       "\n\
+        __global__ void profile_kernel(const float* in, float* out)\n\
+        {\n\
+       \  int tid = threadIdx.x;\n\
+       \  int iters = %d / blockDim.x;\n\
+       \  for (int i = 0; i < iters; i++)\n\
+       \    %s(in, out, tid);\n\
+        }\n\n"
+       numfirings (work_fn_name f));
+  Buffer.add_string buf
+    (Printf.sprintf
+       "int main(int argc, char** argv)\n\
+        {\n\
+       \  int threads = argc > 1 ? atoi(argv[1]) : 128;\n\
+       \  float *in, *out;\n\
+       \  cudaMalloc(&in, %d * sizeof(float));\n\
+       \  cudaMalloc(&out, %d * sizeof(float));\n\
+       \  cudaEvent_t start, stop;\n\
+       \  cudaEventCreate(&start); cudaEventCreate(&stop);\n\
+       \  cudaEventRecord(start);\n\
+       \  profile_kernel<<<1, threads>>>(in, out);\n\
+       \  cudaEventRecord(stop);\n\
+       \  cudaEventSynchronize(stop);\n\
+       \  float ms = 0;\n\
+       \  cudaEventElapsedTime(&ms, start, stop);\n\
+       \  printf(\"%%f\\n\", ms);\n\
+       \  return 0;\n\
+        }\n"
+       (numfirings * max 1 f.Kernel.peek_rate)
+       (numfirings * max 1 f.Kernel.push_rate));
   Buffer.contents buf

@@ -142,38 +142,30 @@ let labels_suffix labels =
 let json_num = Canon.json
 
 let to_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"metrics\":[";
-  List.iteri
-    (fun i it ->
-      if i > 0 then Buffer.add_char b ',';
-      let labels =
-        String.concat ","
-          (List.map
-             (fun (k, v) ->
-               Printf.sprintf "\"%s\":\"%s\"" (Report.escape k)
-                 (Report.escape v))
-             it.labels)
-      in
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"labels\":{%s},"
-           (Report.escape it.name) labels);
-      (match it.kind with
-      | `Counter v ->
-        Buffer.add_string b
-          (Printf.sprintf "\"type\":\"counter\",\"value\":%d}" v)
-      | `Gauge v ->
-        Buffer.add_string b
-          (Printf.sprintf "\"type\":\"gauge\",\"value\":%s}" (json_num v))
+  let item it =
+    let kind =
+      match it.kind with
+      | `Counter v -> [ ("type", Report.Str "counter"); ("value", Report.Int v) ]
+      | `Gauge v -> [ ("type", Report.Str "gauge"); ("value", Report.Float v) ]
       | `Histogram (n, sum, mn, mx) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"min\":%s,\
-              \"max\":%s}"
-             n (json_num sum) (json_num mn) (json_num mx))))
-    (snapshot ());
-  Buffer.add_string b "]}";
-  Buffer.contents b
+        [
+          ("type", Report.Str "histogram");
+          ("count", Report.Int n);
+          ("sum", Report.Float sum);
+          ("min", Report.Float mn);
+          ("max", Report.Float mx);
+        ]
+    in
+    Report.Obj
+      ([
+         ("name", Report.Str it.name);
+         ( "labels",
+           Report.Obj (List.map (fun (k, v) -> (k, Report.Str v)) it.labels) );
+       ]
+      @ kind)
+  in
+  Report.to_string
+    (Report.Obj [ ("metrics", Report.Arr (List.map item (snapshot ()))) ])
 
 let pp_text fmt () =
   List.iter

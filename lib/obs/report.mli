@@ -1,13 +1,15 @@
-(** Minimal JSON document model for structured reports.
+(** The repo's one JSON module: a document tree, its deterministic
+    writer and its reader.
 
-    The repo deliberately carries no JSON library; every exporter so far
-    (traces, metrics, bench results) prints JSON by hand.  Reports are
-    nested enough that hand-printing stops scaling, so this module gives
-    the one abstraction they need: a document tree with a
-    {b deterministic} serializer — field order is the construction
-    order, floats render through one canonical formatter — so the same
-    report built twice (or on different domain counts) serializes to the
-    same bytes and can be hashed for a determinism signature. *)
+    The writer is deterministic — field order is the construction order,
+    floats render through one canonical formatter — so the same report
+    built twice (or on different domain counts) serializes to the same
+    bytes and can be hashed for a determinism signature.
+
+    The reader ({!parse}) is hardened for a long-lived daemon fed by
+    untrusted clients: it follows the RFC 8259 grammar exactly and also
+    rejects duplicate object keys, non-finite numbers and strings that
+    are not valid UTF-8 (lone surrogate escapes included). *)
 
 type t =
   | Null
@@ -37,3 +39,12 @@ val member : string -> t -> t option
 
 val path : string list -> t -> t option
 (** Nested field lookup: [path ["a"; "b"] doc]. *)
+
+exception Parse_error of string
+
+val parse : string -> t
+(** Parse one JSON document.  Integral numbers that fit an OCaml [int]
+    read as [Int], every other number as [Float].  A [\uD83D\uDE00]
+    surrogate pair decodes to one 4-byte UTF-8 sequence.
+    @raise Parse_error on malformed input or trailing bytes; the
+    message names the byte offset. *)

@@ -19,8 +19,8 @@ let () =
        let line = input_line stdin in
        if String.trim line <> "" then begin
          incr seen;
-         match Cache.Protocol.parse line with
-         | exception Cache.Protocol.Parse_error m ->
+         match Obs.Report.parse line with
+         | exception Obs.Report.Parse_error m ->
            fail "reply %d is not valid JSON (%s): %s" !seen m line
          | Obs.Report.Obj fields -> (
            match List.assoc_opt "status" fields with

@@ -12,10 +12,8 @@
 
    Baselines are the full compact report JSON (the deterministic,
    timings-free serialization), so the repo also carries a reviewable
-   record of what each compile looked like.  The reader below extracts
-   just the watched fields; the repo carries no JSON library and the
-   serializer's field order is deterministic, so substring scanning is
-   reliable. *)
+   record of what each compile looked like; only the watched fields
+   are compared. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -29,70 +27,44 @@ let write_file path text =
     (fun () -> output_string oc text)
     ~finally:(fun () -> close_out oc)
 
-(* ---- scrappy field extraction over the compact report JSON ---------- *)
+(* ---- watched fields ------------------------------------------------ *)
 
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let int_after s key =
-  match find_sub s (Printf.sprintf "\"%s\":" key) with
-  | None -> failwith (Printf.sprintf "report field %S missing" key)
-  | Some i ->
-    let n = String.length s in
-    let j = ref i in
-    if !j < n && s.[!j] = '-' then incr j;
-    let start = !j in
-    while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
-    if !j = start then failwith (Printf.sprintf "report field %S not an int" key)
-    else int_of_string (String.sub s i (!j - i))
-
-let str_after s key =
-  match find_sub s (Printf.sprintf "\"%s\":\"" key) with
-  | None -> failwith (Printf.sprintf "report field %S missing" key)
-  | Some i -> (
-    match String.index_from_opt s i '"' with
-    | Some close -> String.sub s i (close - i)
-    | None -> failwith (Printf.sprintf "report field %S unterminated" key))
-
-(* Per-stage work: every {"stage":"<name>","work":<n>} object. *)
-let stage_works s =
-  let marker = "\"stage\":\"" in
-  let n = String.length s and m = String.length marker in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i + m <= n do
-    if String.sub s !i m = marker then begin
-      let close =
-        match String.index_from_opt s (!i + m) '"' with
-        | Some c -> c
-        | None -> failwith "unterminated stage name"
-      in
-      let name = String.sub s (!i + m) (close - !i - m) in
-      let tail = String.sub s close (n - close) in
-      out := (name, int_after tail "work") :: !out;
-      i := close
-    end;
-    incr i
-  done;
-  List.rev !out
-
-(* ---- drift checks --------------------------------------------------- *)
+module J = Obs.Report
 
 type check = { field : string; base : string; fresh : string; ok : bool }
 
-let exact_int field base fresh =
-  let b = int_after base field and f = int_after fresh field in
-  { field; base = string_of_int b; fresh = string_of_int f; ok = b = f }
+let field path doc =
+  match J.path path doc with
+  | Some v -> v
+  | None -> failwith ("report field " ^ String.concat "." path ^ " missing")
 
-let exact_str field base fresh =
-  let b = str_after base field and f = str_after fresh field in
-  { field; base = b; fresh = f; ok = b = f }
+let show = function J.Str s -> s | v -> J.to_string v
+
+(* The outcome fields that must match the baseline exactly. *)
+let exact_fields =
+  [
+    [ "ii"; "achieved" ];
+    [ "quality" ];
+    [ "rationale" ];
+    [ "search"; "attempts" ];
+    [ "ii"; "bounds"; "binding" ];
+  ]
+
+let exact path base fresh =
+  let b = field path base and f = field path fresh in
+  { field = String.concat "." path; base = show b; fresh = show f; ok = b = f }
+
+(* Per-stage work: every {"stage":"<name>","work":<n>} object. *)
+let stage_works doc =
+  match field [ "stages" ] doc with
+  | J.Arr stages ->
+    List.map
+      (fun st ->
+        match (J.member "stage" st, J.member "work" st) with
+        | Some (J.Str name), Some (J.Int work) -> (name, work)
+        | _ -> failwith "malformed stages entry")
+      stages
+  | _ -> failwith "report field stages is not an array"
 
 (* 25% relative tolerance with an absolute slack of 16 work units, so
    tiny stages (layout on a 6-filter graph) don't fail on a +4 blip. *)
@@ -100,15 +72,8 @@ let within_tolerance base fresh =
   abs (fresh - base) <= max 16 (base * 25 / 100)
 
 let compare_reports base fresh =
-  let exact =
-    [
-      exact_int "achieved" base fresh;
-      exact_str "quality" base fresh;
-      exact_str "rationale" base fresh;
-      exact_int "attempts" base fresh;
-      exact_str "binding" base fresh;
-    ]
-  in
+  let base = J.parse base and fresh = J.parse fresh in
+  let exact = List.map (fun path -> exact path base fresh) exact_fields in
   let base_stages = stage_works base and fresh_stages = stage_works fresh in
   let stage_checks =
     List.map

@@ -384,17 +384,6 @@ let protocol_tests =
             {|{"op":"compile","program":"Bitonic","artifacts":["cuda","nope"]}|};
             {|{"op":"compile","program":"Bitonic","artifacts":"cuda"}|};
           ]);
-    t "JSON reader round-trips through the report printer" (fun () ->
-        List.iter
-          (fun s ->
-            Alcotest.(check string) s s
-              (Obs.Report.to_string (Cache.Protocol.parse s)))
-          [
-            {|{"a":[1,2.5,"x\n",true,null],"b":{"c":-3}}|};
-            {|[]|};
-            {|"A\\"|};
-            {|-0.5|};
-          ]);
   ]
 
 let suite = key_tests @ store_tests @ service_tests @ protocol_tests

@@ -112,9 +112,9 @@ let guard_tests =
 (* ---- Protocol hardening ---------------------------------------------- *)
 
 let parses s =
-  match Cache.Protocol.parse s with
+  match Obs.Report.parse s with
   | _ -> true
-  | exception Cache.Protocol.Parse_error _ -> false
+  | exception Obs.Report.Parse_error _ -> false
 
 let protocol_tests =
   [
@@ -127,14 +127,30 @@ let protocol_tests =
         Alcotest.(check bool) "overflowing exponent rejected" false
           (parses {|{"budget":1e999}|});
         Alcotest.(check bool) "normal floats fine" true
-          (parses {|{"deadline":1.5}|}));
+          (parses {|{"deadline":1.5}|});
+        Alcotest.(check bool) "leading plus rejected" false
+          (parses {|{"id":+1}|});
+        Alcotest.(check bool) "leading zero rejected" false
+          (parses {|{"id":01}|});
+        Alcotest.(check bool) "digit required after the point" false
+          (parses {|{"id":1.}|});
+        Alcotest.(check bool) "digit required before the point" false
+          (parses {|{"id":.5}|}));
     t "invalid UTF-8 in strings is rejected" (fun () ->
         Alcotest.(check bool) "lone continuation byte" false
           (parses "{\"id\":\"\xffoops\"}");
         Alcotest.(check bool) "overlong encoding" false
           (parses "{\"id\":\"\xc0\xaf\"}");
         Alcotest.(check bool) "real multibyte accepted" true
-          (parses "{\"id\":\"\xc3\xa9\"}"));
+          (parses "{\"id\":\"\xc3\xa9\"}");
+        Alcotest.(check bool) "surrogate pair escape accepted" true
+          (Obs.Report.parse {|"\ud83d\ude00"|} = Obs.Report.Str "\xf0\x9f\x98\x80");
+        Alcotest.(check bool) "lone high surrogate rejected" false
+          (parses {|{"id":"\ud83d"}|});
+        Alcotest.(check bool) "lone low surrogate rejected" false
+          (parses {|{"id":"\ude00x"}|});
+        Alcotest.(check bool) "\\u needs four hex digits" false
+          (parses {|{"id":"\u1_23"}|}));
     t "wrong-typed request fields are errors, not ignored" (fun () ->
         match Cache.Protocol.parse_request {|{"op":"compile","budget":"lots"}|}
         with
@@ -250,7 +266,7 @@ let daemon_tests =
           | `Shutdown _ -> Alcotest.fail "unexpected shutdown"
         in
         let statuses reply =
-          match Cache.Protocol.parse reply with
+          match Obs.Report.parse reply with
           | Obs.Report.Arr docs ->
             List.map
               (fun doc ->
@@ -276,7 +292,7 @@ let daemon_tests =
         match Cache.Daemon.handle_line d line with
         | `Shutdown _ -> Alcotest.fail "unexpected shutdown"
         | `Reply s -> (
-          match Cache.Protocol.parse s with
+          match Obs.Report.parse s with
           | Obs.Report.Arr [ _; shed ] ->
             (match Obs.Report.member "retry_after_ms" shed with
             | Some (Obs.Report.Int ms) ->
@@ -290,7 +306,7 @@ let daemon_tests =
         match Cache.Daemon.handle_line d {|{"id":2,"op":"shutdown"}|} with
         | `Reply _ -> Alcotest.fail "shutdown must end the session"
         | `Shutdown s -> (
-          let doc = Cache.Protocol.parse s in
+          let doc = Obs.Report.parse s in
           (match Obs.Report.member "drained" doc with
           | Some (Obs.Report.Bool true) -> ()
           | _ -> Alcotest.fail "shutdown response lacks drained:true");
@@ -300,7 +316,7 @@ let daemon_tests =
           Alcotest.(check bool) "guard now refuses work" true
             (match Cache.Daemon.handle_line d (compile_req 3) with
             | `Reply r -> (
-              match member_str "error" (Cache.Protocol.parse r) with
+              match member_str "error" (Obs.Report.parse r) with
               | Some e -> String.length e >= 10 && String.sub e 0 10 = "overloaded"
               | None -> false)
             | `Shutdown _ -> false)));
@@ -310,7 +326,7 @@ let daemon_tests =
         match Cache.Daemon.handle_line d {|{"id":7,"op":"ping"}|} with
         | `Shutdown _ -> Alcotest.fail "ping must not shut down"
         | `Reply s ->
-          let doc = Cache.Protocol.parse s in
+          let doc = Obs.Report.parse s in
           Alcotest.(check (option string)) "version"
             (Some Cache.Key.compiler_version)
             (member_str "version" doc);

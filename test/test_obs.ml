@@ -23,117 +23,10 @@ let with_fake_trace f =
 
 let span_names = List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.name)
 
-(* Minimal JSON syntax checker, enough for the grammar we emit (objects,
-   arrays, strings with escapes, numbers, booleans). *)
-let json_parses (s : string) =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let fail () = raise Exit in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\n' | '\t' | '\r') ->
-      incr pos;
-      skip_ws ()
-    | _ -> ()
-  in
-  let lit l =
-    let m = String.length l in
-    if !pos + m <= n && String.sub s !pos m = l then pos := !pos + m else fail ()
-  in
-  let str () =
-    lit "\"";
-    let rec go () =
-      if !pos >= n then fail ()
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          pos := !pos + 2;
-          go ()
-        | _ ->
-          incr pos;
-          go ()
-    in
-    go ()
-  in
-  let number () =
-    (match peek () with Some '-' -> incr pos | _ -> ());
-    let digits () =
-      let start = !pos in
-      while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-        incr pos
-      done;
-      if !pos = start then fail ()
-    in
-    digits ();
-    (match peek () with
-    | Some '.' ->
-      incr pos;
-      digits ()
-    | _ -> ());
-    match peek () with
-    | Some ('e' | 'E') ->
-      incr pos;
-      (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-      digits ()
-    | _ -> ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> str ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some 't' -> lit "true"
-    | Some 'f' -> lit "false"
-    | Some 'n' -> lit "null"
-    | _ -> fail ()
-  and obj () =
-    lit "{";
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else
-      let rec members () =
-        skip_ws ();
-        str ();
-        skip_ws ();
-        lit ":";
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          incr pos;
-          members ()
-        | Some '}' -> incr pos
-        | _ -> fail ()
-      in
-      members ()
-  and arr () =
-    lit "[";
-    skip_ws ();
-    if peek () = Some ']' then incr pos
-    else
-      let rec elems () =
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          incr pos;
-          elems ()
-        | Some ']' -> incr pos
-        | _ -> fail ()
-      in
-      elems ()
-  in
-  match
-    value ();
-    skip_ws ();
-    !pos = n
-  with
-  | ok -> ok
-  | exception Exit -> false
+let json_ok s =
+  match Obs.Report.parse s with
+  | _ -> true
+  | exception Obs.Report.Parse_error _ -> false
 
 let ab_pipeline () =
   let a =
@@ -216,7 +109,7 @@ let trace_tests =
               ~attrs:[ ("s", Obs.Trace.Str "a\"b\\c\nd") ]
               (fun () -> ()));
         let json = Obs.Trace.to_chrome_json () in
-        Alcotest.(check bool) "parses" true (json_parses json));
+        Alcotest.(check bool) "parses" true (json_ok json));
     t "two-filter pipeline trace (scrubbed)" (fun () ->
         (* Full compile of the multirate ab pipeline under the fake
            clock; the span-name sequence is the deterministic part of
@@ -227,7 +120,7 @@ let trace_tests =
             | Error m -> Alcotest.failf "compile failed: %s" m
             | Ok _ -> ());
         let json = Obs.Trace.to_chrome_json () in
-        Alcotest.(check bool) "json parses" true (json_parses json);
+        Alcotest.(check bool) "json parses" true (json_ok json);
         Alcotest.(check (list string))
           "top-level spans" [ "flatten"; "compile" ]
           (span_names (Obs.Trace.roots ()));
@@ -300,7 +193,7 @@ let metrics_tests =
         | `Counter v -> Alcotest.(check int) "snapshot value" 3 v
         | _ -> Alcotest.fail "expected a counter");
         let json = Obs.Metrics.to_json () in
-        Alcotest.(check bool) "json parses" true (json_parses json);
+        Alcotest.(check bool) "json parses" true (json_ok json);
         let contains hay needle =
           let nl = String.length needle and hl = String.length hay in
           let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -336,7 +229,7 @@ let export_tests =
           Alcotest.(check bool) "max nan" true (Float.is_nan max_v)
         | _ -> Alcotest.fail "expected a histogram");
         Alcotest.(check bool) "json still parses" true
-          (json_parses (Obs.Metrics.to_json ()));
+          (json_ok (Obs.Metrics.to_json ()));
         let om = Obs.Export.to_openmetrics () in
         Alcotest.(check bool) "count sample present" true
           (contains om "edge_empty_hist_count 0\n");
@@ -437,10 +330,10 @@ let smoke_tests =
             match Swp_core.Compile.compile g with
             | Error m -> Alcotest.failf "compile failed: %s" m
             | Ok c ->
-              ignore (Cudagen.Kernel_gen.program c);
+              ignore (Kir.Backend.emit_compiled Kir.Ir.Cuda c);
               ignore (Swp_core.Executor.time_swp c));
         let json = Obs.Trace.to_chrome_json () in
-        Alcotest.(check bool) "trace parses" true (json_parses json);
+        Alcotest.(check bool) "trace parses" true (json_ok json);
         List.iter
           (fun stage ->
             Alcotest.(check bool)
@@ -496,7 +389,7 @@ let concurrency_tests =
         Alcotest.(check (float 1e-6)) "histogram sum exact" expected_sum
           (Obs.Metrics.hist_sum h);
         Alcotest.(check bool) "json snapshot parses" true
-          (json_parses (Obs.Metrics.to_json ())));
+          (json_ok (Obs.Metrics.to_json ())));
     t "metrics: get-or-create races yield one instrument" (fun () ->
         Obs.Metrics.reset ();
         hammer ~domains:4 (fun _ ->
@@ -530,7 +423,7 @@ let concurrency_tests =
         Alcotest.(check int) "inner spans all attributed" 400
           (List.length (Obs.Trace.find_all "inner"));
         Alcotest.(check bool) "chrome export parses" true
-          (json_parses (Obs.Trace.to_chrome_json ()));
+          (json_ok (Obs.Trace.to_chrome_json ()));
         Obs.Trace.reset ());
     t "trace: merge keeps main's and workers' roots apart" (fun () ->
         Obs.Trace.reset ();
@@ -631,6 +524,66 @@ let canon_tests =
           (Obs.Canon.to_string Float.nan));
   ]
 
+(* ---- JSON: writer -> reader round trip ----------------------------- *)
+
+(* What the writer promises to preserve: everything but non-finite
+   floats, which it renders as null. *)
+let rec json_normal (d : Obs.Report.t) : Obs.Report.t =
+  match d with
+  | Float f when not (Float.is_finite f) -> Null
+  | Arr xs -> Arr (List.map json_normal xs)
+  | Obj fields -> Obj (List.map (fun (k, v) -> (k, json_normal v)) fields)
+  | d -> d
+
+let json_printers =
+  [ ("to_string", Obs.Report.to_string);
+    ("to_string_indent", Obs.Report.to_string_indent) ]
+
+let json_samples =
+  Obs.Report.
+    [
+      Obj [];
+      Arr [];
+      Obj [ ("a", Arr [ Obj []; Arr []; Obj [ ("b", Arr [ Null ]) ] ]) ];
+      Str "\x00\x01\b\t\n\012\r\x1f\x7f\"\\/";
+      Obj [ ("k\ney\t\"", Str "") ];
+      Str "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80";
+      Arr [ Float Float.nan; Float Float.infinity; Float Float.neg_infinity ];
+      Arr
+        [
+          Int 0; Int (-7); Int max_int; Int min_int; Float 0.1; Float (-0.5);
+          Float 42.0; Float 1e15; Float 1e-300; Float 1.7976931348623157e308;
+        ];
+      Arr [ Bool true; Bool false; Null; Str "x" ];
+    ]
+
+let json_tests =
+  [
+    t "JSON writer and reader round-trip" (fun () ->
+        List.iter
+          (fun d ->
+            List.iter
+              (fun (name, print) ->
+                let text = print d in
+                Alcotest.(check bool)
+                  (name ^ ": " ^ text) true
+                  (Obs.Report.parse text = json_normal d))
+              json_printers)
+          json_samples;
+        (* reader first: parsing then printing compactly is the identity
+           on canonical input *)
+        List.iter
+          (fun s ->
+            Alcotest.(check string) s s
+              (Obs.Report.to_string (Obs.Report.parse s)))
+          [
+            {|{"a":[1,2.5,"x\n",true,null],"b":{"c":-3}}|};
+            {|[]|};
+            {|"A\\"|};
+            {|-0.5|};
+          ]);
+  ]
+
 let suite =
   trace_tests @ metrics_tests @ export_tests @ concurrency_tests
-  @ smoke_tests @ canon_tests
+  @ smoke_tests @ canon_tests @ json_tests
