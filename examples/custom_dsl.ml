@@ -73,7 +73,7 @@ let () =
       (Swp_core.Mii.rec_mii graph cfg);
     Format.printf "%a@.@." (Swp_core.Swp_schedule.pp graph) c.Swp_core.Compile.schedule;
     (* a peek at the generated CUDA *)
-    let cuda = Kir.Print_cuda.kernel (Kir.Lower.lower c) in
+    let cuda = Kir.Print_c.kernel Kir.Print_c.Cuda (Kir.Lower.lower c) in
     let preview =
       String.concat "\n"
         (List.filteri (fun i _ -> i < 25) (String.split_on_char '\n' cuda))

@@ -108,7 +108,6 @@ let check_stream ?(iters = 2) ?num_sms ?solver ?max_firings ~input s =
                  in
                  lint Kir.Ir.all_targets
                with
-              | Kir.Ir.Unsupported m -> Error ("lint: unsupported: " ^ m)
               | Failure m -> Error ("crash: " ^ m)
               | Invalid_argument m -> Error ("crash: " ^ m)
               | Assert_failure _ -> Error "crash: assertion failure")

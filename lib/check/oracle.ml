@@ -79,7 +79,6 @@ let differential (c : Swp_core.Compile.compiled) ~input ~iters =
     with
     | Kir.Eval.Uninitialized_read m ->
       Error ("kir-eval: uninitialized read: " ^ m)
-    | Kir.Ir.Unsupported m -> Error ("kir-eval: unsupported: " ^ m)
     | Failure m -> Error ("kir-eval: " ^ m)
   in
   match (funcsim, replay, kir_eval) with

@@ -52,7 +52,7 @@ let rec skip_ws st =
     skip_ws st
   | _ -> ()
 
-let lex_number st =
+let lex_number st ~line ~col =
   let start = st.pos in
   let peek_at k =
     if st.pos + k < String.length st.src then Some st.src.[st.pos + k]
@@ -95,8 +95,18 @@ let lex_number st =
     done
   end;
   let text = String.sub st.src start (st.pos - start) in
-  if has_frac || has_exp then Token.FLOAT (float_of_string text)
-  else Token.INT (int_of_string text)
+  let out_of_range () =
+    raise (Lex_error ("numeric literal out of range: " ^ text, line, col))
+  in
+  if has_frac || has_exp then begin
+    (* an overflowing literal would print as an undeclared [inff] *)
+    let x = float_of_string text in
+    if Float.is_finite x then Token.FLOAT x else out_of_range ()
+  end
+  else
+    match int_of_string_opt text with
+    | Some n -> Token.INT n
+    | None -> out_of_range ()
 
 let lex_ident st =
   let start = st.pos in
@@ -112,7 +122,7 @@ let next_token st =
   let tok =
     match peek st with
     | None -> Token.EOF
-    | Some c when is_digit c -> lex_number st
+    | Some c when is_digit c -> lex_number st ~line ~col
     | Some c when is_ident_start c -> lex_ident st
     | Some c ->
       let two target result =

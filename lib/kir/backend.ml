@@ -1,11 +1,12 @@
-(* Backend dispatch: one lowered program, four printers. *)
+(* Backend dispatch: one lowered program, two printers (the C family
+   in three dialects, and WGSL). *)
 
 let emit (t : Ir.target) (p : Ir.program) =
   match t with
-  | Ir.Cuda -> Print_cuda.print p
+  | Ir.Cuda -> Print_c.print Print_c.Cuda p
   | Ir.Wgsl -> Print_wgsl.print p
-  | Ir.Opencl -> Print_cfam.print Print_cfam.Opencl p
-  | Ir.Metal -> Print_cfam.print Print_cfam.Metal p
+  | Ir.Opencl -> Print_c.print Print_c.Opencl p
+  | Ir.Metal -> Print_c.print Print_c.Metal p
 
 let m_lines = Obs.Metrics.counter "cudagen.lines"
 let m_filters = Obs.Metrics.counter "cudagen.filters"

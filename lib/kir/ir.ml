@@ -51,7 +51,48 @@ let target_ext = function
    or the natural (thread-major) layout of the SWPNC scheme. *)
 type index_style = Coalesced | Natural
 
+(* A construct a backend cannot print.  Every KIR construct prints on
+   every target, so nothing raises it; it stays for the callers (the
+   perfbench fuzz workload) that classify failures by it. *)
 exception Unsupported of string
+
+(* Channel index expressions, Sec. IV-D: eq. (10)/(11) for the
+   coalesced shuffle, thread-major for the natural layout.  The text is
+   valid C and WGSL alike. *)
+let read_index style ~rate ~n_expr =
+  match style with
+  | Coalesced ->
+    Printf.sprintf "(128 * (%s) + (tid / 128) * 128 * %d + (tid %% 128))"
+      n_expr rate
+  | Natural -> Printf.sprintf "(tid * %d + (%s))" rate n_expr
+
+(* Type inference for a [let]: integral unless some part may be float
+   (variables, arrays and tables conservatively count as float). *)
+let rec is_int ~in_ty (e : Streamit.Kernel.expr) =
+  let open Streamit.Kernel in
+  match e with
+  | Const (Streamit.Types.VInt _) -> true
+  | Const (Streamit.Types.VFloat _) -> false
+  | Pop | Peek _ -> in_ty = Streamit.Types.TInt
+  | Var _ | ArrayRef _ | TableRef _ -> false
+  | Unop (ToInt, _) -> true
+  | Unop (ToFloat, _) -> false
+  | Unop (_, e) -> is_int ~in_ty e
+  | Binop ((Eq | Ne | Lt | Le | Gt | Ge), _, _) -> true
+  | Binop ((BitAnd | BitOr | BitXor | Shl | Shr | Mod), _, _) -> true
+  | Binop (_, a, b) | Cond (_, a, b) -> is_int ~in_ty a && is_int ~in_ty b
+
+(* A conditional expression with a popping arm cannot stay an
+   expression: hoisting both arms' pops would consume input for the arm
+   not taken.  It becomes an if/else ([test] is the opening line) that
+   assigns temporary [t] (declared by [decl]), each arm's hoisted lines
+   nested in its branch.  Arms and result are (lines reversed, value),
+   the form the printers accumulate hoisted lines in. *)
+let cond_lines ~decl ~test ~t (pre_a, a) (pre_b, b) =
+  let arm pre v =
+    List.rev_map (fun l -> "  " ^ l) pre @ [ Printf.sprintf "  %s = %s;" t v ]
+  in
+  List.rev ((decl :: test :: arm pre_a a) @ ("} else {" :: arm pre_b b) @ [ "}" ])
 
 (* Identifier mangling shared by every backend: all four targets have
    C-like identifier rules. *)

@@ -85,28 +85,41 @@ let strip src =
   done;
   Bytes.to_string out
 
-(* All positions where [name] occurs as a whole identifier. *)
-let word_occurrences src name =
-  let n = String.length src and m = String.length name in
-  let acc = ref [] in
-  let i = ref 0 in
-  while !i + m <= n do
-    if
-      String.sub src !i m = name
-      && ((!i = 0) || not (is_ident_char src.[!i - 1]))
-      && (!i + m = n || not (is_ident_char src.[!i + m]))
-    then acc := !i :: !acc;
-    incr i
-  done;
-  List.rev !acc
+(* [pat] occurs in [src] at byte [i]; allocation-free. *)
+let matches_at src i pat =
+  let m = String.length pat in
+  let rec go k = k = m || (src.[i + k] = pat.[k] && go (k + 1)) in
+  i >= 0 && i + m <= String.length src && go 0
 
-let find_sub src pat =
-  let n = String.length src and m = String.length pat in
-  let rec go i = if i + m > n then None
-    else if String.sub src i m = pat then Some i
-    else go (i + 1)
-  in
-  go 0
+(* [w] occurs in [src] at byte [i] as a whole identifier. *)
+let word_at src i w =
+  let j = i + String.length w in
+  matches_at src i w
+  && (i = 0 || not (is_ident_char src.[i - 1]))
+  && (j = String.length src || not (is_ident_char src.[j]))
+
+(* Identifier -> positions, built in one pass: the whole-identifier
+   occurrences of a name are exactly the maximal identifier-character
+   runs equal to it. *)
+let words src =
+  let tbl = Hashtbl.create 1024 in
+  let n = String.length src in
+  let i = ref 0 in
+  while !i < n do
+    if is_ident_char src.[!i] then begin
+      let j = ref !i in
+      while !j < n && is_ident_char src.[!j] do
+        incr j
+      done;
+      Hashtbl.add tbl (String.sub src !i (!j - !i)) !i;
+      i := !j
+    end
+    else incr i
+  done;
+  tbl
+
+(* All positions where [name] occurs as a whole identifier, ascending. *)
+let word_occurrences words name = List.rev (Hashtbl.find_all words name)
 
 let check_balance src =
   let stack = ref [] in
@@ -129,27 +142,17 @@ let check_balance src =
     Error (Printf.sprintf "unclosed '%c' opened at byte %d" o pos)
   | None, [] -> Ok ()
 
-(* Raw (non-word-bounded) substring occurrence positions. *)
-let sub_occurrences src pat =
-  let n = String.length src and m = String.length pat in
-  let acc = ref [] in
-  for i = 0 to n - m do
-    if String.sub src i m = pat then acc := i :: !acc
-  done;
-  List.rev !acc
-
-(* [name] must first occur inside its declaration [patterns] (each
-   pattern contains the name); with [unique], a second
-   declaration-shaped occurrence is a name collision. *)
-let check_decl ?(unique = true) src ~name ~patterns =
-  let occ = word_occurrences src name in
+(* [name] must first occur inside its declaration, the text
+   [prefix ^ name ^ suffix]; with [unique], a second declaration-shaped
+   occurrence is a name collision. *)
+let check_decl ?(unique = true) src words ~name ~prefix ~suffix =
+  let occ = word_occurrences words name in
   let decls =
-    List.concat_map
-      (fun pat ->
-        match find_sub pat name with
-        | Some off -> List.map (fun i -> i + off) (sub_occurrences src pat)
-        | None -> [])
-      patterns
+    List.filter
+      (fun i ->
+        matches_at src (i - String.length prefix) prefix
+        && matches_at src (i + String.length name) suffix)
+      occ
   in
   match (occ, decls) with
   | [], _ -> Error (Printf.sprintf "%s never appears" name)
@@ -170,40 +173,36 @@ let check_barrier_uniformity src ~barrier =
   let last_popped = ref false in
   let err = ref None in
   let i = ref 0 in
-  let starts_word j w =
-    let m = String.length w in
-    j + m <= n
-    && String.sub src j m = w
-    && (j = 0 || not (is_ident_char src.[j - 1]))
-    && (j + m = n || not (is_ident_char src.[j + m]))
+  (* [w] as a whole identifier in [from, upto), where [upto] is a
+     non-identifier byte or the end *)
+  let has_word ~from ~upto w =
+    let rec go k = k < upto && (word_at src k w || go (k + 1)) in
+    go from
   in
   while !i < n && !err = None do
-    if starts_word !i "if" || starts_word !i "for" || starts_word !i "while"
+    if word_at src !i "if" || word_at src !i "for" || word_at src !i "while"
     then begin
       (* header runs to the '{' or, for brace-less bodies, the ';' *)
       let j = ref !i in
       while !j < n && src.[!j] <> '{' && src.[!j] <> ';' do
         incr j
       done;
-      let header = String.sub src !i (!j - !i) in
-      let tid_dep = word_occurrences header "tid" <> [] in
+      let tid_dep = has_word ~from:!i ~upto:!j "tid" in
       if !j < n && src.[!j] = '{' then begin
         stack := tid_dep :: !stack;
         i := !j + 1
       end
       else begin
         (* brace-less body: treat the statement itself as guarded *)
-        (if tid_dep then
-           let body = String.sub src !i (!j - !i) in
-           if word_occurrences body barrier <> [] then
-             err :=
-               Some
-                 (Printf.sprintf "%s under tid-dependent guard at byte %d"
-                    barrier !i));
+        if tid_dep && has_word ~from:!i ~upto:!j barrier then
+          err :=
+            Some
+              (Printf.sprintf "%s under tid-dependent guard at byte %d"
+                 barrier !i);
         i := !j + 1
       end
     end
-    else if starts_word !i "else" then begin
+    else if word_at src !i "else" then begin
       (* else-branch inherits the popped if's uniformity *)
       let j = ref (!i + 4) in
       while !j < n && (src.[!j] = ' ' || src.[!j] = '\n') do
@@ -227,7 +226,7 @@ let check_barrier_uniformity src ~barrier =
       | [] -> ());
       incr i
     end
-    else if starts_word !i barrier then begin
+    else if word_at src !i barrier then begin
       if List.exists (fun g -> g) !stack then
         err :=
           Some
@@ -239,23 +238,24 @@ let check_barrier_uniformity src ~barrier =
   done;
   match !err with Some e -> Error e | None -> Ok ()
 
-let decl_patterns target kind name =
+(* The text around a name at its declaration: (prefix, suffix). *)
+let decl_affixes target kind =
   match (target, kind) with
-  | Ir.Wgsl, `Fn -> [ "fn " ^ name ^ "(" ]
-  | (Ir.Cuda | Ir.Opencl | Ir.Metal), `Fn -> [ "void " ^ name ^ "(" ]
-  | Ir.Wgsl, `Region -> [ "fn " ^ name ^ "(" ]
-  | (Ir.Cuda | Ir.Opencl | Ir.Metal), `Region -> [ "int " ^ name ^ "(" ]
-  | Ir.Wgsl, `Buffer -> [ "> " ^ name ^ ":" ]
-  | Ir.Cuda, `Buffer -> [ "float* " ^ name ]
-  | Ir.Opencl, `Buffer -> [ "__global float* " ^ name ]
-  | Ir.Metal, `Buffer -> [ "device float* " ^ name ]
+  | Ir.Wgsl, (`Fn | `Region) -> ("fn ", "(")
+  | (Ir.Cuda | Ir.Opencl | Ir.Metal), `Fn -> ("void ", "(")
+  | (Ir.Cuda | Ir.Opencl | Ir.Metal), `Region -> ("int ", "(")
+  | Ir.Wgsl, `Buffer -> ("> ", ":")
+  | Ir.Cuda, `Buffer -> ("float* ", "")
+  | Ir.Opencl, `Buffer -> ("__global float* ", "")
+  | Ir.Metal, `Buffer -> ("device float* ", "")
 
 let check (target : Ir.target) (p : Ir.program) src =
   let s = strip src in
+  let words = words s in
   let ( let* ) = Result.bind in
   let* () = check_balance s in
   let* () =
-    if word_occurrences s (barrier_token target) = [] then
+    if word_occurrences words (barrier_token target) = [] then
       Error (Printf.sprintf "no %s in kernel" (barrier_token target))
     else Ok ()
   in
@@ -266,9 +266,8 @@ let check (target : Ir.target) (p : Ir.program) src =
       (* the CUDA/Metal host code re-declares buffer names (cudaMalloc /
          newBuffer), so uniqueness is only enforced for functions *)
       let unique = kind <> `Buffer in
-      let* () =
-        check_decl ~unique s ~name ~patterns:(decl_patterns target kind name)
-      in
+      let prefix, suffix = decl_affixes target kind in
+      let* () = check_decl ~unique s words ~name ~prefix ~suffix in
       all rest
   in
   let names =

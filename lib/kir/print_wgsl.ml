@@ -35,13 +35,6 @@ let value_str = function
     in
     s ^ "f"
 
-let read_index (style : Ir.index_style) ~rate ~n_expr =
-  match style with
-  | Ir.Coalesced ->
-    Printf.sprintf "(128 * (%s) + (tid / 128) * 128 * %d + (tid %% 128))"
-      n_expr rate
-  | Ir.Natural -> Printf.sprintf "(tid * %d + (%s))" rate n_expr
-
 (* One specialized work function. *)
 let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
   let buf = Buffer.create 1024 in
@@ -60,45 +53,44 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
     Printf.sprintf "_t%d" !tmp_counter
   in
   let indent d = String.make (2 * (d + 1)) ' ' in
+  let let_ty e = if Ir.is_int ~in_ty:f.Kernel.in_ty e then "i32" else "f32" in
   (* [lower] renders to a value-position (int/float) expression;
      [lower_bool] to a condition-position (bool) expression. *)
-  let rec lower ~in_cond pre = function
+  let rec lower pre = function
     | Kernel.Const v -> (pre, value_str v)
     | Kernel.Var x -> (pre, ident x)
     | Kernel.ArrayRef (a, i) ->
-      let pre, ci = lower ~in_cond pre i in
+      let pre, ci = lower pre i in
       let name =
         if List.mem_assoc a f.Kernel.state then table_prefix ^ ident a
         else ident a
       in
       (pre, Printf.sprintf "%s[%s]" name ci)
     | Kernel.TableRef (t, i) ->
-      let pre, ci = lower ~in_cond pre i in
+      let pre, ci = lower pre i in
       (pre, Printf.sprintf "%s%s[%s]" table_prefix (ident t) ci)
     | Kernel.Pop ->
-      if in_cond then
-        raise (Ir.Unsupported "pop() inside a conditional-expression arm");
       let t = fresh_tmp () in
-      let idx = read_index style ~rate:(max 1 f.Kernel.pop_rate) ~n_expr:"_pop" in
+      let idx = Ir.read_index style ~rate:(max 1 f.Kernel.pop_rate) ~n_expr:"_pop" in
       let line =
         Printf.sprintf "let %s: %s = %s; _pop++;" t (ty_name f.Kernel.in_ty)
           (read_conv (Printf.sprintf "%s[in_base + %s]" src idx))
       in
       (line :: pre, t)
     | Kernel.Peek d ->
-      let pre, cd = lower ~in_cond pre d in
+      let pre, cd = lower pre d in
       let idx =
-        read_index style ~rate:(max 1 f.Kernel.pop_rate)
+        Ir.read_index style ~rate:(max 1 f.Kernel.pop_rate)
           ~n_expr:(Printf.sprintf "_pop + (%s)" cd)
       in
       (pre, read_conv (Printf.sprintf "%s[in_base + %s]" src idx))
     | Kernel.Unop (op, e) -> (
       match op with
       | Kernel.Not ->
-        let pre, cb = lower_bool ~in_cond pre e in
+        let pre, cb = lower_bool pre e in
         (pre, Printf.sprintf "select(1, 0, %s)" cb)
       | _ ->
-        let pre, ce = lower ~in_cond pre e in
+        let pre, ce = lower pre e in
         let r =
           match op with
           | Kernel.Neg -> Printf.sprintf "(-%s)" ce
@@ -118,11 +110,11 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
       match op with
       | Kernel.Eq | Kernel.Ne | Kernel.Lt | Kernel.Le | Kernel.Gt | Kernel.Ge
         ->
-        let pre, cb = lower_bool ~in_cond pre (Kernel.Binop (op, a, b)) in
+        let pre, cb = lower_bool pre (Kernel.Binop (op, a, b)) in
         (pre, Printf.sprintf "select(0, 1, %s)" cb)
       | _ ->
-        let pre, ca = lower ~in_cond pre a in
-        let pre, cb = lower ~in_cond pre b in
+        let pre, ca = lower pre a in
+        let pre, cb = lower pre b in
         let inf s = Printf.sprintf "(%s %s %s)" ca s cb in
         let r =
           match op with
@@ -143,20 +135,29 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
             assert false
         in
         (pre, r))
-    | Kernel.Cond (c, a, b) ->
-      let pre, cc = lower_bool ~in_cond pre c in
-      let pre, ca = lower ~in_cond:true pre a in
-      let pre, cb = lower ~in_cond:true pre b in
-      (pre, Printf.sprintf "select(%s, %s, %s)" cb ca cc)
+    | Kernel.Cond (c, a, b) as e -> (
+      let pre, cc = lower_bool pre c in
+      let arm_a = lower [] a in
+      let arm_b = lower [] b in
+      match (arm_a, arm_b) with
+      | ([], ca), ([], cb) -> (pre, Printf.sprintf "select(%s, %s, %s)" cb ca cc)
+      | _ ->
+        let t = fresh_tmp () in
+        ( Ir.cond_lines
+            ~decl:(Printf.sprintf "var %s: %s;" t (let_ty e))
+            ~test:(Printf.sprintf "if %s {" cc)
+            ~t arm_a arm_b
+          @ pre,
+          t ))
   (* condition position: produce a bool expression *)
-  and lower_bool ~in_cond pre = function
+  and lower_bool pre = function
     | Kernel.Binop
         ( ((Kernel.Eq | Kernel.Ne | Kernel.Lt | Kernel.Le | Kernel.Gt
            | Kernel.Ge) as op),
           a,
           b ) ->
-      let pre, ca = lower ~in_cond pre a in
-      let pre, cb = lower ~in_cond pre b in
+      let pre, ca = lower pre a in
+      let pre, cb = lower pre b in
       let s =
         match op with
         | Kernel.Eq -> "=="
@@ -169,10 +170,10 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
       in
       (pre, Printf.sprintf "(%s %s %s)" ca s cb)
     | Kernel.Unop (Kernel.Not, e) ->
-      let pre, cb = lower_bool ~in_cond pre e in
+      let pre, cb = lower_bool pre e in
       (pre, Printf.sprintf "(!%s)" cb)
     | e ->
-      let pre, ce = lower ~in_cond pre e in
+      let pre, ce = lower pre e in
       (pre, Printf.sprintf "(%s != 0)" ce)
   in
   let flush_pre d pre =
@@ -184,39 +185,18 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
   let rec stmt d s =
     match s with
     | Kernel.Let (x, e) ->
-      let pre, ce = lower ~in_cond:false [] e in
+      let pre, ce = lower [] e in
       flush_pre d pre;
       let x' = ident x in
       if Hashtbl.mem declared x' then
         Buffer.add_string buf (Printf.sprintf "%s%s = %s;\n" (indent d) x' ce)
       else begin
         Hashtbl.replace declared x' ();
-        let ty =
-          let rec is_int = function
-            | Kernel.Const (Types.VInt _) -> true
-            | Kernel.Const (Types.VFloat _) -> false
-            | Kernel.Pop | Kernel.Peek _ -> f.Kernel.in_ty = Types.TInt
-            | Kernel.Var _ -> false
-            | Kernel.ArrayRef _ -> false
-            | Kernel.TableRef _ -> false
-            | Kernel.Unop (Kernel.ToInt, _) -> true
-            | Kernel.Unop (Kernel.ToFloat, _) -> false
-            | Kernel.Unop (_, e) -> is_int e
-            | Kernel.Binop ((Kernel.Eq | Kernel.Ne | Kernel.Lt | Kernel.Le
-                            | Kernel.Gt | Kernel.Ge), _, _) -> true
-            | Kernel.Binop ((Kernel.BitAnd | Kernel.BitOr | Kernel.BitXor
-                            | Kernel.Shl | Kernel.Shr | Kernel.Mod), _, _) ->
-              true
-            | Kernel.Binop (_, a, b) -> is_int a && is_int b
-            | Kernel.Cond (_, a, b) -> is_int a && is_int b
-          in
-          if is_int e then "i32" else "f32"
-        in
         Buffer.add_string buf
-          (Printf.sprintf "%svar %s: %s = %s;\n" (indent d) x' ty ce)
+          (Printf.sprintf "%svar %s: %s = %s;\n" (indent d) x' (let_ty e) ce)
       end
     | Kernel.Assign (x, e) ->
-      let pre, ce = lower ~in_cond:false [] e in
+      let pre, ce = lower [] e in
       flush_pre d pre;
       Buffer.add_string buf
         (Printf.sprintf "%s%s = %s;\n" (indent d) (ident x) ce)
@@ -225,8 +205,8 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
         (Printf.sprintf "%svar %s: array<%s, %d>;\n" (indent d) (ident a)
            (ty_name f.Kernel.out_ty) (max 1 n))
     | Kernel.ArrayAssign (a, i, e) ->
-      let pre, ci = lower ~in_cond:false [] i in
-      let pre, ce = lower ~in_cond:false pre e in
+      let pre, ci = lower [] i in
+      let pre, ce = lower pre e in
       flush_pre d pre;
       let aname =
         if List.mem_assoc a f.Kernel.state then table_prefix ^ ident a
@@ -235,16 +215,16 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
       Buffer.add_string buf
         (Printf.sprintf "%s%s[%s] = %s;\n" (indent d) aname ci ce)
     | Kernel.Push e ->
-      let pre, ce = lower ~in_cond:false [] e in
+      let pre, ce = lower [] e in
       flush_pre d pre;
       let idx =
-        read_index style ~rate:(max 1 f.Kernel.push_rate) ~n_expr:"_push"
+        Ir.read_index style ~rate:(max 1 f.Kernel.push_rate) ~n_expr:"_push"
       in
       Buffer.add_string buf
         (Printf.sprintf "%s%s[out_base + %s] = f32(%s); _push++;\n" (indent d)
            dst idx ce)
     | Kernel.If (c, th, el) ->
-      let pre, cc = lower_bool ~in_cond:false [] c in
+      let pre, cc = lower_bool [] c in
       flush_pre d pre;
       Buffer.add_string buf (Printf.sprintf "%sif %s {\n" (indent d) cc);
       List.iter (stmt (d + 1)) th;
@@ -254,8 +234,8 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
       end;
       Buffer.add_string buf (Printf.sprintf "%s}\n" (indent d))
     | Kernel.For (x, lo, hi, body) ->
-      let pre, clo = lower ~in_cond:false [] lo in
-      let pre, chi = lower ~in_cond:false pre hi in
+      let pre, clo = lower [] lo in
+      let pre, chi = lower pre hi in
       flush_pre d pre;
       let x' = ident x in
       Buffer.add_string buf

@@ -23,6 +23,11 @@ let balanced_braces s =
     s;
   !ok && !depth = 0
 
+(* The CUDA device function of one filter, as the profiler prints it. *)
+let cuda_fn ?style f =
+  Kir.Print_c.work_fn Kir.Print_c.Cuda ?style
+    ~fn_name:(Kir.Print_c.work_fn_name f) f
+
 let sample_filter =
   Kernel.Build.(
     Kernel.make_filter ~name:"Scale" ~pop:2 ~push:2
@@ -41,7 +46,7 @@ let emit_tests =
         Alcotest.(check string) "leading digit" "_1x" (Kir.Ir.c_ident "1x");
         Alcotest.(check string) "empty" "_anon" (Kir.Ir.c_ident ""));
     t "device function with coalesced indices (eq. 10/11)" (fun () ->
-        let c = Kir.Print_cuda.c_of_filter sample_filter in
+        let c = cuda_fn sample_filter in
         Alcotest.(check bool) "braces" true (balanced_braces c);
         Alcotest.(check bool) "device fn" true
           (contains c "static __device__ void work_Scale");
@@ -51,9 +56,7 @@ let emit_tests =
         Alcotest.(check bool) "shuffled index" true
           (contains c "(128 * (_pop) + (tid / 128) * 128 * 2 + (tid % 128))"));
     t "natural indices for the non-coalesced baseline" (fun () ->
-        let c =
-          Kir.Print_cuda.c_of_filter ~style:Kir.Ir.Natural sample_filter
-        in
+        let c = cuda_fn ~style:Kir.Ir.Natural sample_filter in
         Alcotest.(check bool) "natural" true (contains c "(tid * 2 + (_pop))"));
     t "pops hoisted in evaluation order" (fun () ->
         let f =
@@ -61,24 +64,43 @@ let emit_tests =
             Kernel.make_filter ~name:"Sum3" ~pop:3 ~push:1
               [ push (pop +: pop +: pop) ])
         in
-        let c = Kir.Print_cuda.c_of_filter f in
+        let c = cuda_fn f in
         (* three temporaries, each bumping _pop before the push *)
         Alcotest.(check bool) "t1" true (contains c "_t1");
         Alcotest.(check bool) "t3" true (contains c "_t3");
         Alcotest.(check bool) "push after" true
           (contains c "out[") );
-    t "pop inside conditional arm rejected" (fun () ->
-        let f =
-          Kernel.make_filter ~name:"CondPop" ~pop:1 ~push:1
-            [
-              Kernel.Push
-                (Kernel.Cond (Kernel.Const (Types.VInt 1), Kernel.Pop, Kernel.Pop));
-            ]
+    t "conditional-arm pops print and run" (fun () ->
+        (* only the taken arm may pop, so every printer turns the
+           conditional into an if/else; the kernels must lint clean and
+           the lowered program must compute what the interpreter does *)
+        let src =
+          {|
+filter Src pop 0 push 1 { state k = [0.0]; k[0] = k[0] + 1.0; push(k[0] % 5.0 - 2.0); }
+filter CondPop pop 1 push 1 peek 2 { let x = peek(1); push(x > 0.0 ? pop() : pop()); }
+filter Pick pop 2 push 1 { let s = pop(); push(s < 0.0 ? pop() + s : -pop()); }
+pipeline P { add Src; add CondPop; add Pick; }
+|}
         in
-        (try
-           ignore (Kir.Print_cuda.c_of_filter f);
-           Alcotest.fail "expected Unsupported"
-         with Kir.Ir.Unsupported _ -> ()));
+        let g = Flatten.flatten (Frontend.Parser.parse_program src) in
+        let c = Result.get_ok (Swp_core.Compile.compile g) in
+        let p = Kir.Lower.lower c in
+        List.iter
+          (fun target ->
+            match Kir.Backend.emit_checked target p with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e)
+          Kir.Ir.all_targets;
+        Alcotest.(check bool) "if/else in place of ?:" true
+          (contains (Kir.Backend.emit Kir.Ir.Cuda p) "if ((x > 0.0f)) {");
+        let input i = Types.VFloat (float_of_int (i mod 5) -. 2.0) in
+        let scale = c.Swp_core.Compile.config.Swp_core.Select.scale in
+        let want = Interp.run_steady_states g ~input ~iters:(3 * scale) in
+        let got = Kir.Eval.run p ~input ~iters:3 in
+        Alcotest.(check bool) "tokens out" true (want <> []);
+        Alcotest.(check (list string)) "kir-eval = interpreter"
+          (List.map Types.string_of_value want)
+          (List.map Types.string_of_value got));
     t "loops and conditionals lower structurally" (fun () ->
         let f =
           Kernel.Build.(
@@ -94,7 +116,7 @@ let emit_tests =
                   ];
               ])
         in
-        let c = Kir.Print_cuda.c_of_filter f in
+        let c = cuda_fn f in
         Alcotest.(check bool) "for" true (contains c "for (int j = 0; j < 4; j++)");
         Alcotest.(check bool) "if/else" true (contains c "} else {");
         Alcotest.(check bool) "array decl" true (contains c "float w[4]");
@@ -106,7 +128,7 @@ let emit_tests =
               ~out_ty:Types.TInt
               [ push ((pop <<: i 2) |: i 1) ])
         in
-        let c = Kir.Print_cuda.c_of_filter f in
+        let c = cuda_fn f in
         Alcotest.(check bool) "signature" true
           (contains c "(const int* in, int* out, int tid)"));
   ]
@@ -135,14 +157,14 @@ let kernel_tests =
         Alcotest.(check bool) "launch config" true (contains src "swp_kernel<<<"));
     t "profile driver generation (Fig. 6)" (fun () ->
         let f = sample_filter in
-        let src = Kir.Print_cuda.profile_driver f ~numfirings:26880 in
+        let src = Kir.Print_c.profile_driver f ~numfirings:26880 in
         Alcotest.(check bool) "events" true (contains src "cudaEventElapsedTime");
         Alcotest.(check bool) "iterates" true (contains src "26880 / blockDim.x");
         Alcotest.(check bool) "braces" true (balanced_braces src));
     t "every scheduled instance appears in the kernel" (fun () ->
         let g = Flatten.flatten (Benchmarks.Dct.stream ()) in
         let c = Result.get_ok (Swp_core.Compile.compile g) in
-        let src = Kir.Print_cuda.kernel (Kir.Lower.lower c) in
+        let src = Kir.Print_c.kernel Kir.Print_c.Cuda (Kir.Lower.lower c) in
         List.iter
           (fun (e : Swp_core.Swp_schedule.entry) ->
             let marker =

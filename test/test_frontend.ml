@@ -36,6 +36,19 @@ let lexer_tests =
           Alcotest.fail "expected lex error"
         with Frontend.Lexer.Lex_error (_, line, _) ->
           Alcotest.(check int) "line" 2 line);
+    t "out-of-range literals error with position" (fun () ->
+        List.iter
+          (fun lit ->
+            try
+              ignore (toks ("x +\n  " ^ lit));
+              Alcotest.failf "expected lex error for %s" lit
+            with Frontend.Lexer.Lex_error (_, line, col) ->
+              Alcotest.(check (pair int int)) lit (2, 3) (line, col))
+          [ "99999999999999999999"; "4611686018427387904"; "1e999"; "1.5e400" ];
+        match toks "4611686018427387903 1e308" with
+        | [ Frontend.Token.INT n; Frontend.Token.FLOAT _; Frontend.Token.EOF ] ->
+          Alcotest.(check int) "max_int" max_int n
+        | _ -> Alcotest.fail "bad tokens");
   ]
 
 (* Token.to_string now renders FLOAT through the canonical formatter
