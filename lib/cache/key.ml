@@ -29,7 +29,7 @@ module T = Streamit.Types
 (* Bumped whenever the compiler can produce different artifacts for an
    unchanged (graph, options) pair; stale on-disk entries then miss
    instead of serving old bytes. *)
-let compiler_version = "streamit-gpu/10"
+let compiler_version = "streamit-gpu/11"
 
 (* --- canonical graph form --- *)
 

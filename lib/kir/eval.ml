@@ -4,7 +4,8 @@
    This interprets the IR the backends print: the same ring-buffer
    address maps (eqs. (9)-(11) via [Buffer_layout.addr_of_token]), the
    same staging discipline (kernel iteration [w] runs stage [f]'s fires
-   on steady state [w - f]), the same per-SM fire lists.  It shares no
+   on steady state [w - f]), the same per-SM fire lists, the same
+   decided work-function bodies (pops in the printed order).  It shares no
    code with [Swp_core.Funcsim] (which walks the compiled value), so a
    lowering bug that drops or misaddresses a buffer shows up as a
    divergence against the interpreter even though both backends print
@@ -73,10 +74,13 @@ let run (p : Ir.program) ~input ~iters =
     | Ir.Chan i -> Some chans.(i)
     | Ir.External -> None
   in
-  (* per-node lowered filter (for push/pop rates and stateful state) *)
+  (* per-node lowered filter running its decided body, the statement
+     order the kernels print *)
   let filters = Hashtbl.create 16 in
   List.iter
-    (fun (w : Ir.work_fn) -> Hashtbl.replace filters w.Ir.w_node w.Ir.w_filter)
+    (fun (w : Ir.work_fn) ->
+      Hashtbl.replace filters w.Ir.w_node
+        { w.Ir.w_filter with Kernel.work = Ir.kernel_of_body w.Ir.w_body })
     p.Ir.work_fns;
   let exit_node =
     List.find_map

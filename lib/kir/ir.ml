@@ -66,34 +66,6 @@ let read_index style ~rate ~n_expr =
       n_expr rate
   | Natural -> Printf.sprintf "(tid * %d + (%s))" rate n_expr
 
-(* Type inference for a [let]: integral unless some part may be float
-   (variables, arrays and tables conservatively count as float). *)
-let rec is_int ~in_ty (e : Streamit.Kernel.expr) =
-  let open Streamit.Kernel in
-  match e with
-  | Const (Streamit.Types.VInt _) -> true
-  | Const (Streamit.Types.VFloat _) -> false
-  | Pop | Peek _ -> in_ty = Streamit.Types.TInt
-  | Var _ | ArrayRef _ | TableRef _ -> false
-  | Unop (ToInt, _) -> true
-  | Unop (ToFloat, _) -> false
-  | Unop (_, e) -> is_int ~in_ty e
-  | Binop ((Eq | Ne | Lt | Le | Gt | Ge), _, _) -> true
-  | Binop ((BitAnd | BitOr | BitXor | Shl | Shr | Mod), _, _) -> true
-  | Binop (_, a, b) | Cond (_, a, b) -> is_int ~in_ty a && is_int ~in_ty b
-
-(* A conditional expression with a popping arm cannot stay an
-   expression: hoisting both arms' pops would consume input for the arm
-   not taken.  It becomes an if/else ([test] is the opening line) that
-   assigns temporary [t] (declared by [decl]), each arm's hoisted lines
-   nested in its branch.  Arms and result are (lines reversed, value),
-   the form the printers accumulate hoisted lines in. *)
-let cond_lines ~decl ~test ~t (pre_a, a) (pre_b, b) =
-  let arm pre v =
-    List.rev_map (fun l -> "  " ^ l) pre @ [ Printf.sprintf "  %s = %s;" t v ]
-  in
-  List.rev ((decl :: test :: arm pre_a a) @ ("} else {" :: arm pre_b b) @ [ "}" ])
-
 (* Identifier mangling shared by every backend: all four targets have
    C-like identifier rules. *)
 let c_ident name =
@@ -131,13 +103,50 @@ type buffer = {
   b_init : Streamit.Types.value list;  (** initial tokens, FIFO order *)
 }
 
-(* One work function: the node's filter body (splitters and joiners
-   already converted to filters) plus the direct buffer references the
-   pointer-free backends (WGSL) need. *)
+(* A work-function body as every backend prints it, decided once by
+   {!Lower.body}.  Each pop is bound to a temporary in evaluation order
+   (a peek that a later pop would overtake is bound before it); a
+   conditional with a popping arm is an if/else assigning a temporary;
+   each scalar is declared once, typed, in the block that holds its
+   uses.  Expressions hold no [Pop] and no popping conditional, so a
+   printer spells them in any order. *)
+type stmt =
+  | Local of string * Streamit.Types.elem_ty * Streamit.Kernel.expr option
+      (** declare a scalar in this block, initialised or not *)
+  | Pop of string  (** declare a temporary of the input type and pop into it *)
+  | Set of string * Streamit.Kernel.expr
+  | Array of string * int  (** zeroed local array of the output type *)
+  | Store of string * Streamit.Kernel.expr * Streamit.Kernel.expr
+  | Push of Streamit.Kernel.expr
+  | If of Streamit.Kernel.expr * stmt list * stmt list
+  | For of string * Streamit.Kernel.expr * Streamit.Kernel.expr * stmt list
+
+(* The body as a filter work list, for the reference interpreter: the
+   fuzzer's KIR-eval leg runs the order the kernels print. *)
+let rec kernel_of_body body =
+  List.concat_map
+    (function
+      | Local (_, _, None) -> []
+      | Local (x, _, Some e) -> [ Streamit.Kernel.Let (x, e) ]
+      | Pop t -> [ Streamit.Kernel.Let (t, Streamit.Kernel.Pop) ]
+      | Set (x, e) -> [ Streamit.Kernel.Assign (x, e) ]
+      | Array (a, n) -> [ Streamit.Kernel.DeclArray (a, n) ]
+      | Store (a, i, e) -> [ Streamit.Kernel.ArrayAssign (a, i, e) ]
+      | Push e -> [ Streamit.Kernel.Push e ]
+      | If (c, a, b) ->
+        [ Streamit.Kernel.If (c, kernel_of_body a, kernel_of_body b) ]
+      | For (x, lo, hi, b) ->
+        [ Streamit.Kernel.For (x, lo, hi, kernel_of_body b) ])
+    body
+
+(* One work function: the node's filter (splitters and joiners already
+   converted to filters), its decided body, and the direct buffer
+   references the pointer-free backends (WGSL) need. *)
 type work_fn = {
   w_node : int;
   w_name : string;  (** schedule-local, collision-free *)
-  w_filter : Streamit.Kernel.filter;
+  w_filter : Streamit.Kernel.filter;  (** name, rates, types, tables, state *)
+  w_body : stmt list;
   w_in : string;  (** port-0 input buffer name, or "stream_in" *)
   w_out : string;  (** port-0 output buffer name, or "stream_out" *)
 }

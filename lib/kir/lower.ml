@@ -2,8 +2,8 @@
 
    Everything the printers and the evaluator need is computed here,
    once, so the backends cannot drift from each other: buffer naming,
-   work-function naming, per-SM fire ordering and the provenance
-   header are all decided in this pass.
+   work-function naming and bodies ({!body}), per-SM fire ordering and
+   the provenance header are all decided in this pass.
 
    Byte-compatibility invariant: driving the CUDA printer with the
    lowered program reproduces the historical one-pass generator's
@@ -75,6 +75,170 @@ let namer () =
       in
       pick 2
     end
+
+(* Every decision about a work-function body, made once for all four
+   printers and the evaluator ({!Ir.stmt}):
+
+   - types: a scalar is int unless some value it is given is float,
+     settled to a fixpoint over the filter's lets and assignments; loop
+     indices are int, pops and peeks have the input type, local arrays
+     the output type, tables and state the type of their first value;
+   - order: pops are hoisted into temporaries [_tN] in left-to-right
+     evaluation order, and a pop-free subexpression that reads a peek
+     is bound first when a later pop of the same statement would move
+     the read cursor under it;
+   - conditionals: a [?:] with a popping arm becomes an if/else that
+     assigns a temporary, its arms' hoisted statements inside each
+     branch, so only the taken arm consumes input;
+   - scope: a [let] declares its scalar unless an enclosing block
+     already does (then it assigns).  [Kernel.check_filter] keeps every
+     use inside the declaring block. *)
+let body (f : Kernel.filter) =
+  let open Kernel in
+  let elem values =
+    if values = [||] then Types.TFloat else Types.ty_of_value values.(0)
+  in
+  let scalars = Hashtbl.create 16 and arrays = Hashtbl.create 8 in
+  List.iter (fun (a, values) -> Hashtbl.replace arrays a (elem values)) f.state;
+  let find tbl x =
+    Option.value ~default:Types.TFloat (Hashtbl.find_opt tbl x)
+  in
+  let join a b = if a = Types.TInt then b else Types.TFloat in
+  let rec ty = function
+    | Const v -> Types.ty_of_value v
+    | Var x -> find scalars x
+    | ArrayRef (a, _) -> find arrays a
+    | TableRef (t, _) -> (
+      match List.assoc_opt t f.tables with
+      | Some values -> elem values
+      | None -> Types.TFloat)
+    | Pop | Peek _ -> f.in_ty
+    | Unop ((Neg | Abs), e) -> ty e
+    | Unop ((Not | BitNot | ToInt), _) -> Types.TInt
+    | Unop ((Sin | Cos | Sqrt | Exp | Log | ToFloat), _) -> Types.TFloat
+    | Binop ((Add | Sub | Mul | Div | Min | Max), a, b) | Cond (_, a, b) ->
+      join (ty a) (ty b)
+    | Binop (_, _, _) -> Types.TInt
+  in
+  let sets = ref [] in
+  let rec scan = function
+    | Let (x, e) | Assign (x, e) ->
+      sets := (x, e) :: !sets;
+      Hashtbl.replace scalars x Types.TInt
+    | DeclArray (a, _) -> Hashtbl.replace arrays a f.out_ty
+    | For (x, _, _, b) ->
+      Hashtbl.replace scalars x Types.TInt;
+      List.iter scan b
+    | If (_, a, b) ->
+      List.iter scan a;
+      List.iter scan b
+    | ArrayAssign _ | Push _ -> ()
+  in
+  List.iter scan f.work;
+  let rec settle () =
+    let demote changed (x, e) =
+      if Hashtbl.find scalars x = Types.TInt && ty e = Types.TFloat then begin
+        Hashtbl.replace scalars x Types.TFloat;
+        true
+      end
+      else changed
+    in
+    if List.fold_left demote false !sets then settle ()
+  in
+  settle ();
+  let rec has p e =
+    p e
+    || match e with
+       | Const _ | Var _ | Pop -> false
+       | ArrayRef (_, e) | TableRef (_, e) | Peek e | Unop (_, e) -> has p e
+       | Binop (_, a, b) -> has p a || has p b
+       | Cond (c, a, b) -> has p c || has p a || has p b
+  in
+  let pops = has (function Pop -> true | _ -> false) in
+  let peeks = has (function Peek _ -> true | _ -> false) in
+  let n = ref 0 in
+  let rec fresh () =
+    incr n;
+    let t = Printf.sprintf "_t%d" !n in
+    if Hashtbl.mem scalars t || Hashtbl.mem arrays t then fresh () else t
+  in
+  let bind pre e =
+    let t = fresh () in
+    (Ir.Local (t, ty e, Some e) :: pre, Var t)
+  in
+  (* [expr ~later pre e] is [e] with its pops hoisted onto [pre] (a
+     reversed statement list); [later] says a pop is hoisted onto [pre]
+     after [e] is read. *)
+  let rec expr ~later pre e =
+    if not (pops e) then if later && peeks e then bind pre e else (pre, e)
+    else
+      match e with
+      | Const _ | Var _ -> (pre, e)
+      | ArrayRef (a, i) ->
+        let pre, i = expr ~later pre i in
+        (pre, ArrayRef (a, i))
+      | TableRef (t, i) ->
+        let pre, i = expr ~later pre i in
+        (pre, TableRef (t, i))
+      | Pop ->
+        let t = fresh () in
+        (Ir.Pop t :: pre, Var t)
+      | Peek d ->
+        let pre, d = expr ~later pre d in
+        if later then bind pre (Peek d) else (pre, Peek d)
+      | Unop (op, a) ->
+        let pre, a = expr ~later pre a in
+        (pre, Unop (op, a))
+      | Binop (op, a, b) ->
+        let pre, a = expr ~later:(later || pops b) pre a in
+        let pre, b = expr ~later pre b in
+        (pre, Binop (op, a, b))
+      | Cond (c, a, b) when pops a || pops b ->
+        let pre, c = expr ~later:false pre c in
+        let arm_a = expr ~later:false [] a in
+        let arm_b = expr ~later:false [] b in
+        let t = fresh () in
+        let branch (pre, v) = List.rev (Ir.Set (t, v) :: pre) in
+        let decl = Ir.Local (t, ty e, None) in
+        (Ir.If (c, branch arm_a, branch arm_b) :: decl :: pre, Var t)
+      | Cond (c, a, b) ->
+        let pre, c = expr ~later pre c in
+        let pre, a = expr ~later pre a in
+        let pre, b = expr ~later pre b in
+        (pre, Cond (c, a, b))
+  in
+  let hoist e = expr ~later:false [] e in
+  let rec block scope = function
+    | [] -> []
+    | s :: rest ->
+      let pre, s, scope =
+        match s with
+        | Let (x, e) when not (List.mem x scope) ->
+          let pre, e = hoist e in
+          (pre, Ir.Local (x, find scalars x, Some e), x :: scope)
+        | Let (x, e) | Assign (x, e) ->
+          let pre, e = hoist e in
+          (pre, Ir.Set (x, e), scope)
+        | DeclArray (a, n) -> ([], Ir.Array (a, n), scope)
+        | ArrayAssign (a, i, e) ->
+          let pre, i = expr ~later:(pops e) [] i in
+          let pre, e = expr ~later:false pre e in
+          (pre, Ir.Store (a, i, e), scope)
+        | Push e ->
+          let pre, e = hoist e in
+          (pre, Ir.Push e, scope)
+        | If (c, th, el) ->
+          let pre, c = hoist c in
+          let th = block scope th in
+          (pre, Ir.If (c, th, block scope el), scope)
+        | For (x, lo, hi, b) ->
+          let pre, lo = expr ~later:(pops hi) [] lo in
+          let pre, hi = expr ~later:false pre hi in
+          (pre, Ir.For (x, lo, hi, block scope b), scope)
+      in
+      List.rev_append pre (s :: block scope rest)
+  in
+  block [] f.work
 
 let lower (c : C.compiled) : Ir.program =
   let g = c.C.graph in
@@ -160,10 +324,12 @@ let lower (c : C.compiled) : Ir.program =
       (Array.map
          (fun (node : Graph.node) ->
            let v = node.Graph.id in
+           let f = filter_of_node node in
            {
              Ir.w_node = v;
              w_name = fn_names.(v);
-             w_filter = filter_of_node node;
+             w_filter = f;
+             w_body = body f;
              w_in = port0_in v;
              w_out = port0_out v;
            })

@@ -22,13 +22,16 @@
      to the work functions; the host must pre-initialize them (the
      initializers are listed in the emitted launch comment).
 
+   Work-function bodies arrive decided ({!Lower.body}: pop order,
+   temporaries, scope, types); the walker only spells them.
+
    Every emitted byte is pinned by the golden fixtures
    (test/fixtures/codegen/*.cu, *.cl, *.metal).  A change that moves
    an output regenerates them on purpose (dune build @codegen; dune
-   promote) and bumps Cache.Key.compiler_version.  Only CUDA matches a
-   pre-KIR generator; OpenCL and Metal cannot be compiled in CI, so the
-   structural linter plus the KIR-eval oracle leg carry their
-   correctness (see DESIGN.md §16). *)
+   promote) and bumps Cache.Key.compiler_version.  No GPU toolchain
+   runs in CI: the structural linter, the KIR-eval oracle leg and a
+   g++ syntax check of the work functions carry their correctness
+   (see DESIGN.md §16). *)
 
 open Streamit
 
@@ -68,26 +71,10 @@ let unop_c dialect (op : Kernel.unop) arg =
   | Kernel.ToInt -> Printf.sprintf "((int)%s)" arg
 
 let binop_c (op : Kernel.binop) a b =
-  let inf s = Printf.sprintf "(%s %s %s)" a s b in
   match op with
-  | Kernel.Add -> inf "+"
-  | Kernel.Sub -> inf "-"
-  | Kernel.Mul -> inf "*"
-  | Kernel.Div -> inf "/"
-  | Kernel.Mod -> inf "%"
-  | Kernel.BitAnd -> inf "&"
-  | Kernel.BitOr -> inf "|"
-  | Kernel.BitXor -> inf "^"
-  | Kernel.Shl -> inf "<<"
-  | Kernel.Shr -> inf ">>"
-  | Kernel.Eq -> inf "=="
-  | Kernel.Ne -> inf "!="
-  | Kernel.Lt -> inf "<"
-  | Kernel.Le -> inf "<="
-  | Kernel.Gt -> inf ">"
-  | Kernel.Ge -> inf ">="
-  | Kernel.Min -> Printf.sprintf "min(%s, %s)" a b
-  | Kernel.Max -> Printf.sprintf "max(%s, %s)" a b
+  | Kernel.Min | Kernel.Max ->
+    Printf.sprintf "%s(%s, %s)" (Kernel.string_of_binop op) a b
+  | _ -> Printf.sprintf "(%s %s %s)" a (Kernel.string_of_binop op) b
 
 (* Qualifiers of device functions and of their read-side and
    write-side pointer parameters. *)
@@ -118,10 +105,8 @@ let state_params dialect (f : Kernel.filter) =
       f.Kernel.state
 
 (* One work function: its tables (and, outside Metal, state) at program
-   scope, then the body.  Pops met in an expression are hoisted into
-   fresh temporaries first (in left-to-right evaluation order), so the
-   emitted C never relies on C's unspecified evaluation order. *)
-let work_fn dialect ?(style = Ir.Coalesced) ~fn_name (f : Kernel.filter) =
+   scope, then the body {!Lower.body} decided, spelled in C. *)
+let spell_work_fn dialect ~style ~fn_name (f : Kernel.filter) body =
   let buf = Buffer.create 1024 in
   let table_prefix = ident f.Kernel.name ^ "_" in
   let global qual (name, values) =
@@ -151,127 +136,61 @@ let work_fn dialect ?(style = Ir.Coalesced) ~fn_name (f : Kernel.filter) =
        (fn_qual dialect) fn_name (in_ptr dialect) in_ty (out_ptr dialect)
        out_ty state_args);
   Buffer.add_string buf "  int _pop = 0;\n  int _push = 0;\n";
-  let tmp_counter = ref 0 in
-  let fresh_tmp () =
-    incr tmp_counter;
-    Printf.sprintf "_t%d" !tmp_counter
-  in
-  let indent d = String.make (2 * (d + 1)) ' ' in
-  let let_ty e = if Ir.is_int ~in_ty:f.Kernel.in_ty e then "int" else "float" in
   let array_name a =
     if List.mem_assoc a f.Kernel.state then table_prefix ^ ident a else ident a
   in
-  (* Lower an expression to a C expression string, appending hoisted pop
-     temporaries to [pre] (a list of lines, reversed). *)
-  let rec lower pre = function
-    | Kernel.Const v -> (pre, c_value v)
-    | Kernel.Var x -> (pre, ident x)
-    | Kernel.ArrayRef (a, i) ->
-      let pre, ci = lower pre i in
-      (pre, Printf.sprintf "%s[%s]" (array_name a) ci)
+  let index rate n = Ir.read_index style ~rate:(max 1 rate) ~n_expr:n in
+  let rec expr = function
+    | Kernel.Const v -> c_value v
+    | Kernel.Var x -> ident x
+    | Kernel.ArrayRef (a, i) -> Printf.sprintf "%s[%s]" (array_name a) (expr i)
     | Kernel.TableRef (t, i) ->
-      let pre, ci = lower pre i in
-      (pre, Printf.sprintf "%s%s[%s]" table_prefix (ident t) ci)
-    | Kernel.Pop ->
-      let t = fresh_tmp () in
-      let idx =
-        Ir.read_index style ~rate:(max 1 f.Kernel.pop_rate) ~n_expr:"_pop"
-      in
-      (Printf.sprintf "%s %s = in[%s]; _pop++;" in_ty t idx :: pre, t)
+      Printf.sprintf "%s%s[%s]" table_prefix (ident t) (expr i)
+    | Kernel.Pop -> Printf.sprintf "in[%s]" (index f.Kernel.pop_rate "_pop")
     | Kernel.Peek d ->
-      let pre, cd = lower pre d in
-      let idx =
-        Ir.read_index style ~rate:(max 1 f.Kernel.pop_rate)
-          ~n_expr:(Printf.sprintf "_pop + (%s)" cd)
-      in
-      (pre, Printf.sprintf "in[%s]" idx)
-    | Kernel.Unop (op, e) ->
-      let pre, ce = lower pre e in
-      (pre, unop_c dialect op ce)
-    | Kernel.Binop (op, a, b) ->
-      let pre, ca = lower pre a in
-      let pre, cb = lower pre b in
-      (pre, binop_c op ca cb)
-    | Kernel.Cond (c, a, b) as e -> (
-      let pre, cc = lower pre c in
-      let arm_a = lower [] a in
-      let arm_b = lower [] b in
-      match (arm_a, arm_b) with
-      | ([], ca), ([], cb) -> (pre, Printf.sprintf "(%s ? %s : %s)" cc ca cb)
-      | _ ->
-        let t = fresh_tmp () in
-        ( Ir.cond_lines
-            ~decl:(Printf.sprintf "%s %s;" (let_ty e) t)
-            ~test:(Printf.sprintf "if (%s) {" cc)
-            ~t arm_a arm_b
-          @ pre,
-          t ))
+      Printf.sprintf "in[%s]"
+        (index f.Kernel.pop_rate (Printf.sprintf "_pop + (%s)" (expr d)))
+    | Kernel.Unop (op, e) -> unop_c dialect op (expr e)
+    | Kernel.Binop (op, a, b) -> binop_c op (expr a) (expr b)
+    | Kernel.Cond (c, a, b) ->
+      Printf.sprintf "(%s ? %s : %s)" (expr c) (expr a) (expr b)
   in
-  let flush_pre d pre =
-    List.iter
-      (fun line -> Buffer.add_string buf (indent d ^ line ^ "\n"))
-      (List.rev pre)
-  in
-  let declared = Hashtbl.create 16 in
   let rec stmt d s =
+    let line fmt =
+      Buffer.add_string buf (String.make (2 * (d + 1)) ' ');
+      Printf.kbprintf (fun buf -> Buffer.add_char buf '\n') buf fmt
+    in
     match s with
-    | Kernel.Let (x, e) ->
-      let pre, ce = lower [] e in
-      flush_pre d pre;
-      let x' = ident x in
-      if Hashtbl.mem declared x' then
-        Buffer.add_string buf (Printf.sprintf "%s%s = %s;\n" (indent d) x' ce)
-      else begin
-        Hashtbl.replace declared x' ();
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s %s = %s;\n" (indent d) (let_ty e) x' ce)
-      end
-    | Kernel.Assign (x, e) ->
-      let pre, ce = lower [] e in
-      flush_pre d pre;
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s = %s;\n" (indent d) (ident x) ce)
-    | Kernel.DeclArray (a, n) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s %s[%d] = {0};\n" (indent d) out_ty (ident a) n)
-    | Kernel.ArrayAssign (a, i, e) ->
-      let pre, ci = lower [] i in
-      let pre, ce = lower pre e in
-      flush_pre d pre;
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s[%s] = %s;\n" (indent d) (array_name a) ci ce)
-    | Kernel.Push e ->
-      let pre, ce = lower [] e in
-      flush_pre d pre;
-      let idx =
-        Ir.read_index style ~rate:(max 1 f.Kernel.push_rate) ~n_expr:"_push"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%sout[%s] = %s; _push++;\n" (indent d) idx ce)
-    | Kernel.If (c, th, el) ->
-      let pre, cc = lower [] c in
-      flush_pre d pre;
-      Buffer.add_string buf (Printf.sprintf "%sif (%s) {\n" (indent d) cc);
+    | Ir.Local (x, ty, Some e) ->
+      line "%s %s = %s;" (c_ty ty) (ident x) (expr e)
+    | Ir.Local (x, ty, None) -> line "%s %s;" (c_ty ty) (ident x)
+    | Ir.Pop t -> line "%s %s = %s; _pop++;" in_ty t (expr Kernel.Pop)
+    | Ir.Set (x, e) -> line "%s = %s;" (ident x) (expr e)
+    | Ir.Array (a, n) -> line "%s %s[%d] = {0};" out_ty (ident a) n
+    | Ir.Store (a, i, e) ->
+      line "%s[%s] = %s;" (array_name a) (expr i) (expr e)
+    | Ir.Push e ->
+      line "out[%s] = %s; _push++;" (index f.Kernel.push_rate "_push") (expr e)
+    | Ir.If (c, th, el) ->
+      line "if (%s) {" (expr c);
       List.iter (stmt (d + 1)) th;
       if el <> [] then begin
-        Buffer.add_string buf (Printf.sprintf "%s} else {\n" (indent d));
+        line "} else {";
         List.iter (stmt (d + 1)) el
       end;
-      Buffer.add_string buf (Printf.sprintf "%s}\n" (indent d))
-    | Kernel.For (x, lo, hi, body) ->
-      let pre, clo = lower [] lo in
-      let pre, chi = lower pre hi in
-      flush_pre d pre;
-      let x' = ident x in
-      Buffer.add_string buf
-        (Printf.sprintf "%sfor (int %s = %s; %s < %s; %s++) {\n" (indent d) x'
-           clo x' chi x');
+      line "}"
+    | Ir.For (x, lo, hi, body) ->
+      let x = ident x in
+      line "for (int %s = %s; %s < %s; %s++) {" x (expr lo) x (expr hi) x;
       List.iter (stmt (d + 1)) body;
-      Buffer.add_string buf (Printf.sprintf "%s}\n" (indent d))
+      line "}"
   in
-  List.iter (stmt 0) f.Kernel.work;
+  List.iter (stmt 0) body;
   Buffer.add_string buf "  (void)_pop; (void)_push;\n}\n";
   Buffer.contents buf
+
+let work_fn dialect ?(style = Ir.Coalesced) ~fn_name f =
+  spell_work_fn dialect ~style ~fn_name f (Lower.body f)
 
 (* All state buffer params of the program, in work-function order — the
    order Metal appends them to the kernel signature. *)
@@ -322,7 +241,8 @@ let kernel dialect (p : Ir.program) =
   List.iter
     (fun (w : Ir.work_fn) ->
       Buffer.add_string buf
-        (work_fn dialect ~style:p.Ir.style ~fn_name:w.Ir.w_name w.Ir.w_filter);
+        (spell_work_fn dialect ~style:p.Ir.style ~fn_name:w.Ir.w_name
+           w.Ir.w_filter w.Ir.w_body);
       Buffer.add_char buf '\n')
     p.Ir.work_fns;
   Buffer.add_string buf (kernel_head dialect p);

@@ -35,11 +35,17 @@ let value_str = function
     in
     s ^ "f"
 
-(* One specialized work function. *)
-let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
+(* One specialized work function: the body {!Lower.body} decided,
+   spelled in WGSL. *)
+let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) body =
   let buf = Buffer.create 1024 in
   let table_prefix = ident f.Kernel.name ^ "_" in
-  let read_conv e =
+  let array_name a =
+    if List.mem_assoc a f.Kernel.state then table_prefix ^ ident a else ident a
+  in
+  let index rate n = Ir.read_index style ~rate:(max 1 rate) ~n_expr:n in
+  let read n =
+    let e = Printf.sprintf "%s[in_base + %s]" src (index f.Kernel.pop_rate n) in
     match f.Kernel.in_ty with
     | Types.TInt -> Printf.sprintf "i32(%s)" e
     | Types.TFloat -> e
@@ -47,204 +53,90 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
   Buffer.add_string buf
     (Printf.sprintf "fn %s(in_base: i32, out_base: i32, tid: i32) {\n" fn_name);
   Buffer.add_string buf "  var _pop: i32 = 0;\n  var _push: i32 = 0;\n";
-  let tmp_counter = ref 0 in
-  let fresh_tmp () =
-    incr tmp_counter;
-    Printf.sprintf "_t%d" !tmp_counter
-  in
-  let indent d = String.make (2 * (d + 1)) ' ' in
-  let let_ty e = if Ir.is_int ~in_ty:f.Kernel.in_ty e then "i32" else "f32" in
-  (* [lower] renders to a value-position (int/float) expression;
-     [lower_bool] to a condition-position (bool) expression. *)
-  let rec lower pre = function
-    | Kernel.Const v -> (pre, value_str v)
-    | Kernel.Var x -> (pre, ident x)
-    | Kernel.ArrayRef (a, i) ->
-      let pre, ci = lower pre i in
-      let name =
-        if List.mem_assoc a f.Kernel.state then table_prefix ^ ident a
-        else ident a
-      in
-      (pre, Printf.sprintf "%s[%s]" name ci)
+  (* [value] spells a value-position (int/float) expression, [cond] a
+     condition-position (bool) one. *)
+  let rec value = function
+    | Kernel.Const v -> value_str v
+    | Kernel.Var x -> ident x
+    | Kernel.ArrayRef (a, i) -> Printf.sprintf "%s[%s]" (array_name a) (value i)
     | Kernel.TableRef (t, i) ->
-      let pre, ci = lower pre i in
-      (pre, Printf.sprintf "%s%s[%s]" table_prefix (ident t) ci)
-    | Kernel.Pop ->
-      let t = fresh_tmp () in
-      let idx = Ir.read_index style ~rate:(max 1 f.Kernel.pop_rate) ~n_expr:"_pop" in
-      let line =
-        Printf.sprintf "let %s: %s = %s; _pop++;" t (ty_name f.Kernel.in_ty)
-          (read_conv (Printf.sprintf "%s[in_base + %s]" src idx))
-      in
-      (line :: pre, t)
-    | Kernel.Peek d ->
-      let pre, cd = lower pre d in
-      let idx =
-        Ir.read_index style ~rate:(max 1 f.Kernel.pop_rate)
-          ~n_expr:(Printf.sprintf "_pop + (%s)" cd)
-      in
-      (pre, read_conv (Printf.sprintf "%s[in_base + %s]" src idx))
+      Printf.sprintf "%s%s[%s]" table_prefix (ident t) (value i)
+    | Kernel.Pop -> read "_pop"
+    | Kernel.Peek d -> read (Printf.sprintf "_pop + (%s)" (value d))
     | Kernel.Unop (op, e) -> (
+      let call name = Printf.sprintf "%s(%s)" name (value e) in
       match op with
-      | Kernel.Not ->
-        let pre, cb = lower_bool pre e in
-        (pre, Printf.sprintf "select(1, 0, %s)" cb)
-      | _ ->
-        let pre, ce = lower pre e in
-        let r =
-          match op with
-          | Kernel.Neg -> Printf.sprintf "(-%s)" ce
-          | Kernel.BitNot -> Printf.sprintf "(~%s)" ce
-          | Kernel.Sin -> Printf.sprintf "sin(%s)" ce
-          | Kernel.Cos -> Printf.sprintf "cos(%s)" ce
-          | Kernel.Sqrt -> Printf.sprintf "sqrt(%s)" ce
-          | Kernel.Exp -> Printf.sprintf "exp(%s)" ce
-          | Kernel.Log -> Printf.sprintf "log(%s)" ce
-          | Kernel.Abs -> Printf.sprintf "abs(%s)" ce
-          | Kernel.ToFloat -> Printf.sprintf "f32(%s)" ce
-          | Kernel.ToInt -> Printf.sprintf "i32(%s)" ce
-          | Kernel.Not -> assert false
-        in
-        (pre, r))
-    | Kernel.Binop (op, a, b) -> (
+      | Kernel.Not -> Printf.sprintf "select(1, 0, %s)" (cond e)
+      | Kernel.Neg -> Printf.sprintf "(-%s)" (value e)
+      | Kernel.BitNot -> Printf.sprintf "(~%s)" (value e)
+      | Kernel.Sin -> call "sin"
+      | Kernel.Cos -> call "cos"
+      | Kernel.Sqrt -> call "sqrt"
+      | Kernel.Exp -> call "exp"
+      | Kernel.Log -> call "log"
+      | Kernel.Abs -> call "abs"
+      | Kernel.ToFloat -> call "f32"
+      | Kernel.ToInt -> call "i32")
+    | Kernel.Binop (op, a, b) as e -> (
+      let sym = Kernel.string_of_binop op in
       match op with
-      | Kernel.Eq | Kernel.Ne | Kernel.Lt | Kernel.Le | Kernel.Gt | Kernel.Ge
-        ->
-        let pre, cb = lower_bool pre (Kernel.Binop (op, a, b)) in
-        (pre, Printf.sprintf "select(0, 1, %s)" cb)
-      | _ ->
-        let pre, ca = lower pre a in
-        let pre, cb = lower pre b in
-        let inf s = Printf.sprintf "(%s %s %s)" ca s cb in
-        let r =
-          match op with
-          | Kernel.Add -> inf "+"
-          | Kernel.Sub -> inf "-"
-          | Kernel.Mul -> inf "*"
-          | Kernel.Div -> inf "/"
-          | Kernel.Mod -> inf "%"
-          | Kernel.BitAnd -> inf "&"
-          | Kernel.BitOr -> inf "|"
-          | Kernel.BitXor -> inf "^"
-          | Kernel.Shl -> Printf.sprintf "(%s << u32(%s))" ca cb
-          | Kernel.Shr -> Printf.sprintf "(%s >> u32(%s))" ca cb
-          | Kernel.Min -> Printf.sprintf "min(%s, %s)" ca cb
-          | Kernel.Max -> Printf.sprintf "max(%s, %s)" ca cb
-          | Kernel.Eq | Kernel.Ne | Kernel.Lt | Kernel.Le | Kernel.Gt
-          | Kernel.Ge ->
-            assert false
-        in
-        (pre, r))
-    | Kernel.Cond (c, a, b) as e -> (
-      let pre, cc = lower_bool pre c in
-      let arm_a = lower [] a in
-      let arm_b = lower [] b in
-      match (arm_a, arm_b) with
-      | ([], ca), ([], cb) -> (pre, Printf.sprintf "select(%s, %s, %s)" cb ca cc)
-      | _ ->
-        let t = fresh_tmp () in
-        ( Ir.cond_lines
-            ~decl:(Printf.sprintf "var %s: %s;" t (let_ty e))
-            ~test:(Printf.sprintf "if %s {" cc)
-            ~t arm_a arm_b
-          @ pre,
-          t ))
-  (* condition position: produce a bool expression *)
-  and lower_bool pre = function
+      | Kernel.Eq | Kernel.Ne | Kernel.Lt | Kernel.Le | Kernel.Gt | Kernel.Ge ->
+        Printf.sprintf "select(0, 1, %s)" (cond e)
+      | Kernel.Shl | Kernel.Shr ->
+        Printf.sprintf "(%s %s u32(%s))" (value a) sym (value b)
+      | Kernel.Min | Kernel.Max ->
+        Printf.sprintf "%s(%s, %s)" sym (value a) (value b)
+      | _ -> Printf.sprintf "(%s %s %s)" (value a) sym (value b))
+    | Kernel.Cond (c, a, b) ->
+      Printf.sprintf "select(%s, %s, %s)" (value b) (value a) (cond c)
+  and cond = function
     | Kernel.Binop
         ( ((Kernel.Eq | Kernel.Ne | Kernel.Lt | Kernel.Le | Kernel.Gt
            | Kernel.Ge) as op),
           a,
           b ) ->
-      let pre, ca = lower pre a in
-      let pre, cb = lower pre b in
-      let s =
-        match op with
-        | Kernel.Eq -> "=="
-        | Kernel.Ne -> "!="
-        | Kernel.Lt -> "<"
-        | Kernel.Le -> "<="
-        | Kernel.Gt -> ">"
-        | Kernel.Ge -> ">="
-        | _ -> assert false
-      in
-      (pre, Printf.sprintf "(%s %s %s)" ca s cb)
-    | Kernel.Unop (Kernel.Not, e) ->
-      let pre, cb = lower_bool pre e in
-      (pre, Printf.sprintf "(!%s)" cb)
-    | e ->
-      let pre, ce = lower pre e in
-      (pre, Printf.sprintf "(%s != 0)" ce)
+      Printf.sprintf "(%s %s %s)" (value a) (Kernel.string_of_binop op)
+        (value b)
+    | Kernel.Unop (Kernel.Not, e) -> Printf.sprintf "(!%s)" (cond e)
+    | e -> Printf.sprintf "(%s != 0)" (value e)
   in
-  let flush_pre d pre =
-    List.iter
-      (fun line -> Buffer.add_string buf (indent d ^ line ^ "\n"))
-      (List.rev pre)
-  in
-  let declared = Hashtbl.create 16 in
   let rec stmt d s =
+    let line fmt =
+      Buffer.add_string buf (String.make (2 * (d + 1)) ' ');
+      Printf.kbprintf (fun buf -> Buffer.add_char buf '\n') buf fmt
+    in
     match s with
-    | Kernel.Let (x, e) ->
-      let pre, ce = lower [] e in
-      flush_pre d pre;
-      let x' = ident x in
-      if Hashtbl.mem declared x' then
-        Buffer.add_string buf (Printf.sprintf "%s%s = %s;\n" (indent d) x' ce)
-      else begin
-        Hashtbl.replace declared x' ();
-        Buffer.add_string buf
-          (Printf.sprintf "%svar %s: %s = %s;\n" (indent d) x' (let_ty e) ce)
-      end
-    | Kernel.Assign (x, e) ->
-      let pre, ce = lower [] e in
-      flush_pre d pre;
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s = %s;\n" (indent d) (ident x) ce)
-    | Kernel.DeclArray (a, n) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%svar %s: array<%s, %d>;\n" (indent d) (ident a)
-           (ty_name f.Kernel.out_ty) (max 1 n))
-    | Kernel.ArrayAssign (a, i, e) ->
-      let pre, ci = lower [] i in
-      let pre, ce = lower pre e in
-      flush_pre d pre;
-      let aname =
-        if List.mem_assoc a f.Kernel.state then table_prefix ^ ident a
-        else ident a
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s[%s] = %s;\n" (indent d) aname ci ce)
-    | Kernel.Push e ->
-      let pre, ce = lower [] e in
-      flush_pre d pre;
-      let idx =
-        Ir.read_index style ~rate:(max 1 f.Kernel.push_rate) ~n_expr:"_push"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s[out_base + %s] = f32(%s); _push++;\n" (indent d)
-           dst idx ce)
-    | Kernel.If (c, th, el) ->
-      let pre, cc = lower_bool [] c in
-      flush_pre d pre;
-      Buffer.add_string buf (Printf.sprintf "%sif %s {\n" (indent d) cc);
+    | Ir.Local (x, ty, Some e) ->
+      line "var %s: %s = %s;" (ident x) (ty_name ty) (value e)
+    | Ir.Local (x, ty, None) -> line "var %s: %s;" (ident x) (ty_name ty)
+    | Ir.Pop t ->
+      line "let %s: %s = %s; _pop++;" t (ty_name f.Kernel.in_ty)
+        (value Kernel.Pop)
+    | Ir.Set (x, e) -> line "%s = %s;" (ident x) (value e)
+    | Ir.Array (a, n) ->
+      line "var %s: array<%s, %d>;" (ident a) (ty_name f.Kernel.out_ty)
+        (max 1 n)
+    | Ir.Store (a, i, e) ->
+      line "%s[%s] = %s;" (array_name a) (value i) (value e)
+    | Ir.Push e ->
+      line "%s[out_base + %s] = f32(%s); _push++;" dst
+        (index f.Kernel.push_rate "_push") (value e)
+    | Ir.If (c, th, el) ->
+      line "if %s {" (cond c);
       List.iter (stmt (d + 1)) th;
       if el <> [] then begin
-        Buffer.add_string buf (Printf.sprintf "%s} else {\n" (indent d));
+        line "} else {";
         List.iter (stmt (d + 1)) el
       end;
-      Buffer.add_string buf (Printf.sprintf "%s}\n" (indent d))
-    | Kernel.For (x, lo, hi, body) ->
-      let pre, clo = lower [] lo in
-      let pre, chi = lower pre hi in
-      flush_pre d pre;
-      let x' = ident x in
-      Buffer.add_string buf
-        (Printf.sprintf "%sfor (var %s: i32 = %s; %s < %s; %s++) {\n"
-           (indent d) x' clo x' chi x');
+      line "}"
+    | Ir.For (x, lo, hi, body) ->
+      let x = ident x in
+      line "for (var %s: i32 = %s; %s < %s; %s++) {" x (value lo) x (value hi)
+        x;
       List.iter (stmt (d + 1)) body;
-      Buffer.add_string buf (Printf.sprintf "%s}\n" (indent d))
+      line "}"
   in
-  List.iter (stmt 0) f.Kernel.work;
+  List.iter (stmt 0) body;
   Buffer.add_string buf "  _ = _pop;\n  _ = _push;\n}\n";
   Buffer.contents buf
 
@@ -342,7 +234,7 @@ let print (p : Ir.program) =
       end;
       Buffer.add_string buf
         (fn_of_filter ~style:p.Ir.style ~fn_name:w.Ir.w_name ~src:w.Ir.w_in
-           ~dst:w.Ir.w_out w.Ir.w_filter);
+           ~dst:w.Ir.w_out w.Ir.w_filter w.Ir.w_body);
       Buffer.add_char buf '\n')
     p.Ir.work_fns;
   (* the software-pipelined kernel *)

@@ -89,8 +89,8 @@ static void work_CEp1_b0_d1_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -110,8 +110,8 @@ static void work_CEp1_b1_d1_desc(__global const int* in, __global int* out, int 
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = max(a, b);
     w[(j + 1)] = min(a, b);
   }
@@ -131,8 +131,8 @@ static void work_CEp1_b2_d1_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -152,8 +152,8 @@ static void work_CEp1_b3_d1_desc(__global const int* in, __global int* out, int 
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = max(a, b);
     w[(j + 1)] = min(a, b);
   }
@@ -219,8 +219,8 @@ static void work_CEp2_b0_d2_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 2; j++) {
-    float a = w[j];
-    float b = w[(j + 2)];
+    int a = w[j];
+    int b = w[(j + 2)];
     w[j] = min(a, b);
     w[(j + 2)] = max(a, b);
   }
@@ -240,8 +240,8 @@ static void work_CEp2_b1_d2_desc(__global const int* in, __global int* out, int 
     w[j] = _t1;
   }
   for (int j = 0; j < 2; j++) {
-    float a = w[j];
-    float b = w[(j + 2)];
+    int a = w[j];
+    int b = w[(j + 2)];
     w[j] = max(a, b);
     w[(j + 2)] = min(a, b);
   }
@@ -307,8 +307,8 @@ static void work_CEp2_b0_d1_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -328,8 +328,8 @@ static void work_CEp2_b1_d1_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -349,8 +349,8 @@ static void work_CEp2_b2_d1_desc(__global const int* in, __global int* out, int 
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = max(a, b);
     w[(j + 1)] = min(a, b);
   }
@@ -370,8 +370,8 @@ static void work_CEp2_b3_d1_desc(__global const int* in, __global int* out, int 
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = max(a, b);
     w[(j + 1)] = min(a, b);
   }
@@ -391,8 +391,8 @@ static void work_CEp3_d4_asc(__global const int* in, __global int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 4; j++) {
-    float a = w[j];
-    float b = w[(j + 4)];
+    int a = w[j];
+    int b = w[(j + 4)];
     w[j] = min(a, b);
     w[(j + 4)] = max(a, b);
   }
@@ -458,8 +458,8 @@ static void work_CEp3_b0_d2_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 2; j++) {
-    float a = w[j];
-    float b = w[(j + 2)];
+    int a = w[j];
+    int b = w[(j + 2)];
     w[j] = min(a, b);
     w[(j + 2)] = max(a, b);
   }
@@ -479,8 +479,8 @@ static void work_CEp3_b1_d2_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 2; j++) {
-    float a = w[j];
-    float b = w[(j + 2)];
+    int a = w[j];
+    int b = w[(j + 2)];
     w[j] = min(a, b);
     w[(j + 2)] = max(a, b);
   }
@@ -546,8 +546,8 @@ static void work_CEp3_b0_d1_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -567,8 +567,8 @@ static void work_CEp3_b1_d1_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -588,8 +588,8 @@ static void work_CEp3_b2_d1_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -609,8 +609,8 @@ static void work_CEp3_b3_d1_asc(__global const int* in, __global int* out, int t
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }

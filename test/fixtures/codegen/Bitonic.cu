@@ -90,8 +90,8 @@ static __device__ void work_CEp1_b0_d1_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -111,8 +111,8 @@ static __device__ void work_CEp1_b1_d1_desc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = max(a, b);
     w[(j + 1)] = min(a, b);
   }
@@ -132,8 +132,8 @@ static __device__ void work_CEp1_b2_d1_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -153,8 +153,8 @@ static __device__ void work_CEp1_b3_d1_desc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = max(a, b);
     w[(j + 1)] = min(a, b);
   }
@@ -220,8 +220,8 @@ static __device__ void work_CEp2_b0_d2_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 2; j++) {
-    float a = w[j];
-    float b = w[(j + 2)];
+    int a = w[j];
+    int b = w[(j + 2)];
     w[j] = min(a, b);
     w[(j + 2)] = max(a, b);
   }
@@ -241,8 +241,8 @@ static __device__ void work_CEp2_b1_d2_desc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 2; j++) {
-    float a = w[j];
-    float b = w[(j + 2)];
+    int a = w[j];
+    int b = w[(j + 2)];
     w[j] = max(a, b);
     w[(j + 2)] = min(a, b);
   }
@@ -308,8 +308,8 @@ static __device__ void work_CEp2_b0_d1_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -329,8 +329,8 @@ static __device__ void work_CEp2_b1_d1_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -350,8 +350,8 @@ static __device__ void work_CEp2_b2_d1_desc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = max(a, b);
     w[(j + 1)] = min(a, b);
   }
@@ -371,8 +371,8 @@ static __device__ void work_CEp2_b3_d1_desc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = max(a, b);
     w[(j + 1)] = min(a, b);
   }
@@ -392,8 +392,8 @@ static __device__ void work_CEp3_d4_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 4; j++) {
-    float a = w[j];
-    float b = w[(j + 4)];
+    int a = w[j];
+    int b = w[(j + 4)];
     w[j] = min(a, b);
     w[(j + 4)] = max(a, b);
   }
@@ -459,8 +459,8 @@ static __device__ void work_CEp3_b0_d2_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 2; j++) {
-    float a = w[j];
-    float b = w[(j + 2)];
+    int a = w[j];
+    int b = w[(j + 2)];
     w[j] = min(a, b);
     w[(j + 2)] = max(a, b);
   }
@@ -480,8 +480,8 @@ static __device__ void work_CEp3_b1_d2_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 2; j++) {
-    float a = w[j];
-    float b = w[(j + 2)];
+    int a = w[j];
+    int b = w[(j + 2)];
     w[j] = min(a, b);
     w[(j + 2)] = max(a, b);
   }
@@ -547,8 +547,8 @@ static __device__ void work_CEp3_b0_d1_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -568,8 +568,8 @@ static __device__ void work_CEp3_b1_d1_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -589,8 +589,8 @@ static __device__ void work_CEp3_b2_d1_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }
@@ -610,8 +610,8 @@ static __device__ void work_CEp3_b3_d1_asc(const int* in, int* out, int tid)
     w[j] = _t1;
   }
   for (int j = 0; j < 1; j++) {
-    float a = w[j];
-    float b = w[(j + 1)];
+    int a = w[j];
+    int b = w[(j + 1)];
     w[j] = min(a, b);
     w[(j + 1)] = max(a, b);
   }

@@ -101,6 +101,55 @@ pipeline P { add Src; add CondPop; add Pick; }
         Alcotest.(check (list string)) "kir-eval = interpreter"
           (List.map Types.string_of_value want)
           (List.map Types.string_of_value got));
+    t "peek before a later pop, int lets: fixtures on every target" (fun () ->
+        let program file =
+          let src = In_channel.with_open_bin file In_channel.input_all in
+          let g = Flatten.flatten (Frontend.Parser.parse_program src) in
+          let c = Result.get_ok (Swp_core.Compile.compile g) in
+          let scale = c.Swp_core.Compile.config.Swp_core.Select.scale in
+          (g, scale, Kir.Lower.lower c)
+        in
+        let find hay needle from =
+          let nl = String.length needle in
+          let rec go i =
+            if i + nl > String.length hay then max_int
+            else if String.sub hay i nl = needle then i
+            else go (i + 1)
+          in
+          go from
+        in
+        (* push(peek(1) * 10.0 + pop()): the interpreter reads token 1,
+           so the peek must be read while _pop is still 0 *)
+        let g, scale, p = program "fixtures/peek_pop.str" in
+        List.iter
+          (fun target ->
+            let src = Result.get_ok (Kir.Backend.emit_checked target p) in
+            let fn = find src "work_PeekPop(" 0 in
+            Alcotest.(check bool)
+              (Kir.Ir.target_name target ^ ": peek read before the pop")
+              true
+              (find src "_pop + (1)" fn < find src "_pop++" fn))
+          Kir.Ir.all_targets;
+        let input i = Types.VFloat (float_of_int (i mod 7)) in
+        Alcotest.(check (list string)) "kir-eval = interpreter"
+          (List.map Types.string_of_value
+             (Interp.run_steady_states g ~input ~iters:(2 * scale)))
+          (List.map Types.string_of_value (Kir.Eval.run p ~input ~iters:2));
+        (* b = a + 1 holds an int; x = 1 is later given y * 0.5 *)
+        let _, _, p = program "fixtures/int_let.str" in
+        List.iter
+          (fun target ->
+            let src = Result.get_ok (Kir.Backend.emit_checked target p) in
+            let int_b, float_x =
+              if target = Kir.Ir.Wgsl then ("var b: i32", "var x: f32")
+              else ("int b", "float x")
+            in
+            let name = Kir.Ir.target_name target in
+            Alcotest.(check bool) (name ^ ": b is int") true
+              (contains src (int_b ^ " = (a + 1);"));
+            Alcotest.(check bool) (name ^ ": x is float") true
+              (contains src (float_x ^ " = 1;")))
+          Kir.Ir.all_targets);
     t "loops and conditionals lower structurally" (fun () ->
         let f =
           Kernel.Build.(

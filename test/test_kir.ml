@@ -128,6 +128,90 @@ let eval_tests =
           small_srcs);
   ]
 
+(* ---- decided bodies -------------------------------------------------- *)
+
+(* One firing of [f] on the tape [input] (state copied, so both runs
+   start alike): the pop count and the pushed tokens, or the failure. *)
+let fire (f : Streamit.Kernel.filter) ~input =
+  let pops = ref 0 and out = ref [] in
+  let state =
+    List.map (fun (n, a) -> (n, Array.copy a)) f.Streamit.Kernel.state
+  in
+  match
+    Streamit.Interp.exec_filter_firing ~state f
+      ~pop:(fun () -> incr pops; input (!pops - 1))
+      ~peek:(fun d -> input (!pops + d))
+      ~push:(fun v -> out := Streamit.Types.string_of_value v :: !out)
+  with
+  | () -> Ok (!pops, List.rev !out)
+  | exception Failure m -> Error m
+
+let with_decided_body (f : Streamit.Kernel.filter) =
+  { f with Streamit.Kernel.work = Kir.Ir.kernel_of_body (Kir.Lower.body f) }
+
+(* Every node's decided body, fired alone on a synthetic tape, and every
+   filter's decided body inside its program, run by the interpreter for
+   two steady states, must match the filter it was decided from. *)
+let check_decided name (g : Streamit.Graph.t) ~input =
+  Array.iter
+    (fun (node : Streamit.Graph.node) ->
+      let f = Kir.Lower.filter_of_node node in
+      let tape i =
+        match f.Streamit.Kernel.in_ty with
+        | Streamit.Types.TInt -> Streamit.Types.VInt ((i * 37) mod 61)
+        | Streamit.Types.TFloat ->
+          Streamit.Types.VFloat (float_of_int (i mod 13) /. 4.0)
+      in
+      if fire f ~input:tape <> fire (with_decided_body f) ~input:tape then
+        Alcotest.failf "%s: node %s: decided body fires differently" name
+          node.Streamit.Graph.name)
+    g.Streamit.Graph.nodes;
+  let decided =
+    {
+      g with
+      Streamit.Graph.nodes =
+        Array.map
+          (fun (node : Streamit.Graph.node) ->
+            match node.Streamit.Graph.kind with
+            | Streamit.Graph.NFilter f ->
+              let kind = Streamit.Graph.NFilter (with_decided_body f) in
+              { node with Streamit.Graph.kind }
+            | _ -> node)
+          g.Streamit.Graph.nodes;
+    }
+  in
+  (* a program the interpreter rejects must be rejected alike *)
+  let run g =
+    match Streamit.Interp.run_steady_states g ~input ~iters:2 with
+    | out -> Ok (List.map Streamit.Types.string_of_value out)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  Alcotest.(check (result (list string) string))
+    (name ^ ": program output") (run g) (run decided)
+
+let decided_tests =
+  [
+    t "decided bodies run like their filters" (fun () ->
+        List.iter
+          (fun (e : Benchmarks.Registry.entry) ->
+            check_decided e.Benchmarks.Registry.name
+              (Streamit.Flatten.flatten (e.Benchmarks.Registry.stream ()))
+              ~input:e.Benchmarks.Registry.input)
+          Benchmarks.Registry.all;
+        for seed = 1 to 50 do
+          check_decided (Printf.sprintf "Check.Gen seed %d" seed)
+            (Streamit.Flatten.flatten (Check.Gen.stream ~seed ()))
+            ~input:(Check.Gen.input ~seed)
+        done;
+        List.iter
+          (fun file ->
+            check_decided file
+              (flatten_src
+                 (In_channel.with_open_bin file In_channel.input_all))
+              ~input)
+          [ "fixtures/cond_pop.str"; "fixtures/peek_pop.str" ]);
+  ]
+
 (* ---- linter ---------------------------------------------------------- *)
 
 let corrupt_cases (src : string) =
@@ -252,4 +336,4 @@ pipeline P { add F_1; add F:1; add Sink; }
             (List.length (List.sort_uniq compare names)));
   ]
 
-let suite = lower_tests @ eval_tests @ lint_tests @ name_tests
+let suite = lower_tests @ eval_tests @ decided_tests @ lint_tests @ name_tests
